@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..network.latency import PLAYOUT_PROCESSING_MS
 from ..network.topology import Topology
 from ..reputation.scores import ReputationTable
 from .entities import Supernode
@@ -36,6 +35,13 @@ from .entities import Supernode
 __all__ = ["SupernodeDirectory", "SelectionOutcome", "select_supernode",
            "delay_threshold_ms"]
 
+
+#: Pool-ranking prefix width per requested candidate: room for the
+#: walk past the full supernodes of a saturated pool.
+_RANKING_WIDTH = 8
+
+#: float64 elements per ranking-build scratch buffer (1 MB).
+_RANKING_SCRATCH = 131_072
 
 #: Margin reserved for serialisation, jitter and server interaction when
 #: deriving a delay threshold from a game's delivery deadline.
@@ -73,6 +79,10 @@ class SupernodeDirectory:
     player's cell until the ``count`` nearest available supernodes are
     guaranteed found (every point outside rings ``0..r`` lies strictly
     farther than ``r`` cell widths from the player).
+
+    The columnar lookup first walks a cached per-player ranking of the
+    pool (:meth:`_ranked_candidates`); only a player it cannot answer
+    for takes the full pass.
     """
 
     def __init__(self, topology: Topology, supernodes: list[Supernode]):
@@ -102,19 +112,28 @@ class SupernodeDirectory:
                 cols.available, dtype=np.uint8)
             self._gids_np: np.ndarray | None = np.array(self._gids,
                                                         dtype=np.intp)
+            # Pool id -> listed supernode (None: not in this directory),
+            # for the ranking walk.
+            self._by_gid: list[Supernode | None] | None = \
+                [None] * cols.size
+            for sn in supernodes:
+                self._by_gid[sn.supernode_id] = sn
             # The cached per-player pool ranking keys on the pool's
             # immutable coordinates: keep it across rebuilds of the
             # same pool, drop it when the store itself changes.
             if getattr(self, "_pool_cols", None) is not cols:
                 self._pool_cols = cols
-                self._topk: np.ndarray | None = None
+                self._ranking: np.ndarray | None = None
+                self._ties: np.ndarray | None = None
         else:
             self._avail = None
             self._gids = None
             self._avail_np = None
             self._gids_np = None
+            self._by_gid = None
             self._pool_cols = None
-            self._topk = None
+            self._ranking = None
+            self._ties = None
         self._coords = np.array([[sn.x_km, sn.y_km] for sn in supernodes],
                                 dtype=np.float64).reshape(n, 2)
         self._access = np.array([sn.access_ms for sn in supernodes],
@@ -187,6 +206,9 @@ class SupernodeDirectory:
         if not self.supernodes:
             return []
         if self._avail_np is not None:
+            found = self._ranked_candidates(player, count)
+            if found is not None:
+                return found
             # Columnar pool: one vectorised pass over the whole table
             # beats the ring scan, whose cost degrades towards a full
             # linear probe exactly when it matters (peak hours, pool
@@ -246,186 +268,89 @@ class SupernodeDirectory:
         found.sort()
         return [supernodes[i] for _, i in found[:count]]
 
-    def batch_candidates_for(self, players: np.ndarray, count: int
-                             ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Candidate lists for a whole join cohort at once.
+    def _ranked_candidates(self, player: int,
+                           count: int) -> list[Supernode] | None:
+        """The ``count`` nearest available supernodes, read off the
+        player's cached pool ranking; None when the ranking cannot tell.
 
-        Returns ``(ids, delays)`` — shape ``(m, k)`` with
-        ``k = min(count, available)`` — where row ``j`` holds the
-        global ids of the ``k`` nearest supernodes *available at the
-        snapshot instant* to ``players[j]``, ordered by (distance²,
-        pool id), and their one-way probe delays; rows with fewer
-        than ``k`` available candidates pad their tail with NaN
-        delays.  ``None`` when the pool has no shared columnar store
-        (the scalar ring scan is the only path) — callers fall back
-        to per-player :meth:`candidates_for`.
-
-        Unlike the scalar scan, every row reflects *one* availability
-        snapshot taken at the start of the cohort — the documented
-        batch-assignment semantics delta (DESIGN.md §15).  The
-        sequential capacity ask downstream still sees live bytes, so
-        a snapshot candidate that filled up mid-cohort is skipped, not
-        over-connected.
+        Walks the ranking prefix, nearest first, keeping listed
+        supernodes whose availability byte is set.  An untied
+        prefix is strictly nearer than every pool row outside it, so
+        the first ``count`` hits are exactly the full scan's answer, in
+        its order, whatever the directory order; so is a shorter list
+        when the prefix is the whole pool.  A player with an exact
+        distance tie, or whose prefix runs out of free supernodes,
+        gets None and the full scan.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if self._avail_np is None:
+        ranking, ties = self._pool_ranking(count)
+        if ties[player]:
             return None
-        m = len(players)
-        avail = self._avail_np
-        total_avail = int(avail.sum())
-        k = min(count, total_avail)
-        if m == 0 or k == 0:
-            return (np.empty((m, 0), dtype=np.int64),
-                    np.empty((m, 0), dtype=np.float64))
-        # Fast path: walk each player's cached distance ranking of the
-        # whole pool and keep the first ``k`` available rows.  Exact
-        # whenever the prefix holds ``k`` available supernodes (any
-        # pool row outside the prefix is farther than everything in
-        # it) or the whole available set; the rare uncovered rows —
-        # deep local saturation — re-run the full scan below.
-        #
-        # The prefix width scales with pool availability: a saturated
-        # steady-state pool (say 1 in 4 supernodes free) needs ~4× the
-        # prefix of a fresh one before ``k`` available rows land inside
-        # it, and an undersized prefix sends most of the cohort through
-        # the exact-scan fallback every subcycle.  3× headroom over the
-        # expected requirement keeps the fallback rare; rounding up to
-        # a power of two bounds how often a drifting availability level
-        # forces a ranking rebuild.
-        n = self._pool_cols.size
-        need = max(4 * count, -(-3 * count * n) // total_avail)
-        width = min(n, 1 << (int(need) - 1).bit_length())
-        ranking = self._pool_ranking(count, width)
-        cand = ranking[players]
-        ok = avail[cand] == 1
-        nav = ok.sum(axis=1)
-        covered = (nav >= k) | (nav >= total_avail)
-        # Stable argsort on ~ok lists the available prefix positions
-        # first, still in ranking (distance², pool id) order.
-        order = np.argsort(~ok, axis=1, kind="stable")[:, :k]
-        ids = np.take_along_axis(cand, order, axis=1).astype(np.int64)
-        valid = np.take_along_axis(ok, order, axis=1)
-        topo = self.topology
-        pa = topo.player_access_ms[players]
-        mskm = topo.latency_model.ms_per_km
-        cols = self._pool_cols
-        sx = np.asarray(cols.x_km)
-        sy = np.asarray(cols.y_km)
-        sa = np.asarray(cols.access_ms)
-        dx = topo.player_coords[players, 0][:, None] - sx[ids]
-        dy = topo.player_coords[players, 1][:, None] - sy[ids]
-        delays = (pa[:, None] + mskm * np.sqrt(dx * dx + dy * dy)
-                  + sa[ids])
-        # Rows shorter than ``k`` (the whole available set fits the
-        # prefix) pad with NaN: never qualified, skipped by the nanmax
-        # probe aggregation downstream.
-        delays[~valid] = np.nan
-        if not covered.all():
-            rows = np.flatnonzero(~covered)
-            sub_ids, sub_delays = self._batch_scan(players[rows], k)
-            ids[rows] = sub_ids
-            delays[rows] = sub_delays
-        return ids, delays
+        avail = self._avail
+        by_gid = self._by_gid
+        found: list[Supernode] = []
+        for sid in ranking[player].tolist():
+            if avail[sid]:
+                sn = by_gid[sid]
+                if sn is not None:
+                    found.append(sn)
+                    if len(found) == count:
+                        return found
+        return found if ranking.shape[1] == len(by_gid) else None
 
-    def _pool_ranking(self, count: int,
-                      width: int | None = None) -> np.ndarray:
-        """Every player's nearest pool rows, (distance², pool id) order.
+    def _pool_ranking(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every player's nearest pool rows, nearest first.
 
-        Pool coordinates are immutable after construction, so the
-        ranking is built once per pool and survives directory rebuilds
-        — failures, heals and daily provisioning only flip availability
-        bytes.  It is rebuilt (wider) only when the caller's requested
-        ``width`` outgrows the cached prefix; widening never changes
-        any row's candidate set, because a prefix row outside the old
-        width is farther than everything inside it.
+        Returns ``(ranking, ties)``: an int32 ``(players, width)``
+        prefix with ``width = min(pool, 8 * count)``, and per player
+        whether two of its ``width + 1`` nearest rows lie at exactly the
+        same distance — the row one past the prefix included, so an
+        untied prefix is strictly nearer than every row outside it.
+        Tied players always take the full pass, whose tie-break is the
+        directory index; their rows' order among equals is arbitrary
+        and never read.  Pool coordinates are
+        immutable after construction, so the ranking is built once per
+        pool — lazily, at the first lookup — and survives directory
+        rebuilds: failures, heals and provisioning only flip
+        availability bytes.
         """
         cols = self._pool_cols
         n = cols.size
-        if width is None:
-            width = min(n, max(32, 4 * count))
-        if self._topk is not None and self._topk.shape[1] >= width:
-            return self._topk
-        # A build's cost is dominated by the full (players × pool)
-        # distance matrix, not the kept width — so never build narrow.
-        # One generous prefix up front absorbs the whole availability
-        # range a run drifts through; the stepwise 2× ladder the
-        # caller's power-of-two requests would otherwise climb costs a
-        # full rebuild per rung.
-        width = min(n, max(width, 32 * count))
+        width = min(n, _RANKING_WIDTH * count)
+        if self._ranking is not None and self._ranking.shape[1] >= width:
+            return self._ranking, self._ties
         coords = self.topology.player_coords
         total = coords.shape[0]
-        sx = np.asarray(cols.x_km)
-        sy = np.asarray(cols.y_km)
-        topk = np.empty((total, width), dtype=np.int32)
-        chunk = max(1, int(4_000_000 // max(1, n)))
-        # Reused scratch: the distance matrix is pure streaming work,
-        # so allocator churn (five ~30 MB temporaries per chunk) is a
-        # measurable fraction of the build.  Same ops, same order —
-        # bit-identical to the expression form.
+        ranking = np.empty((total, width), dtype=np.int32)
+        ties = np.empty(total, dtype=bool)
+        # Chunked, reused scratch keeps the build's transient memory at
+        # a few MB whatever the population.
+        chunk = max(1, _RANKING_SCRATCH // n)
         bufx = np.empty((min(chunk, total), n), dtype=np.float64)
         bufy = np.empty((min(chunk, total), n), dtype=np.float64)
+        everyone = np.arange(n, dtype=np.int32)
+        keep = min(n, width + 1)
         for lo in range(0, total, chunk):
             hi = min(total, lo + chunk)
             dx = bufx[:hi - lo]
             dy = bufy[:hi - lo]
-            np.subtract(coords[lo:hi, 0, None], sx[None, :], out=dx)
+            np.subtract(coords[lo:hi, 0, None], cols.x_km[None, :], out=dx)
             np.multiply(dx, dx, out=dx)
-            np.subtract(coords[lo:hi, 1, None], sy[None, :], out=dy)
+            np.subtract(coords[lo:hi, 1, None], cols.y_km[None, :], out=dy)
             np.multiply(dy, dy, out=dy)
             d2 = np.add(dx, dy, out=dx)
-            if n > width:
-                part = np.argpartition(d2, width - 1, axis=1)[:, :width]
-                d2w = np.take_along_axis(d2, part, axis=1)
+            if n > keep:
+                part = np.argpartition(d2, keep - 1, axis=1)[:, :keep]
+                d2 = np.take_along_axis(d2, part, axis=1)
             else:
-                part = np.broadcast_to(np.arange(n), (hi - lo, n))
-                d2w = d2
-            order = np.lexsort((part, d2w), axis=1)
-            topk[lo:hi] = np.take_along_axis(part, order, axis=1)
-        self._topk = topk
-        return topk
-
-    def _batch_scan(self, players: np.ndarray, k: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact k-nearest-available scan over the whole live pool.
-
-        The fallback for cohort rows whose cached ranking prefix is
-        exhausted by local saturation; same (distance², pool id)
-        ordering as the cached path.
-        """
-        m = len(players)
-        idx = np.flatnonzero(self._avail_np[self._gids_np])
-        gids = self._gids_np[idx]
-        topo = self.topology
-        px = topo.player_coords[players, 0]
-        py = topo.player_coords[players, 1]
-        pa = topo.player_access_ms[players]
-        mskm = topo.latency_model.ms_per_km
-        sx = self._coords[idx, 0]
-        sy = self._coords[idx, 1]
-        ids = np.empty((m, k), dtype=np.int64)
-        delays = np.empty((m, k), dtype=np.float64)
-        # Chunk the (m, a) distance matrix to ~32 MB so a large row
-        # set over a large pool never materialises gigabytes.
-        chunk = max(1, int(4_000_000 // max(1, idx.size)))
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            dx = px[lo:hi, None] - sx[None, :]
-            dy = py[lo:hi, None] - sy[None, :]
-            d2 = dx * dx + dy * dy
-            if idx.size > k:
-                part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            else:
-                part = np.broadcast_to(np.arange(k), (hi - lo, k))
-            d2k = np.take_along_axis(d2, part, axis=1)
-            order = np.lexsort((gids[part], d2k), axis=1)
-            part = np.take_along_axis(part, order, axis=1)
-            d2k = np.take_along_axis(d2k, order, axis=1)
-            sel = idx[part]
-            ids[lo:hi] = gids[part]
-            delays[lo:hi] = (pa[lo:hi, None] + mskm * np.sqrt(d2k)
-                             + self._access[sel])
-        return ids, delays
+                part = np.broadcast_to(everyone, (hi - lo, n))
+            order = np.argsort(d2, axis=1)
+            ranking[lo:hi] = np.take_along_axis(part, order[:, :width],
+                                                axis=1)
+            d2 = np.take_along_axis(d2, order, axis=1)
+            ties[lo:hi] = (d2[:, 1:] == d2[:, :-1]).any(axis=1)
+        self._ranking = ranking
+        self._ties = ties
+        return ranking, ties
 
     def probe_delays_ms(self, player: int,
                         candidates: list[Supernode]) -> np.ndarray:
@@ -502,14 +427,13 @@ def select_supernode(
     if exclude:
         candidates = [sn for sn in candidates
                       if sn.supernode_id not in exclude]
-    delays = directory.probe_delays_ms(player, candidates)
+    delays = directory.probe_delays_ms(player, candidates).tolist()
 
     join_latency = cloud_rtt_ms
     if candidates:
-        join_latency += 2.0 * float(delays.max())  # parallel probe RTTs
+        join_latency += 2.0 * max(delays)  # parallel probe RTTs
 
-    qualified = [(sn, float(delay))
-                 for sn, delay in zip(candidates, delays)
+    qualified = [(sn, delay) for sn, delay in zip(candidates, delays)
                  if delay <= l_max_ms]
     qualified_ids = tuple((sn.supernode_id, delay)
                           for sn, delay in qualified)

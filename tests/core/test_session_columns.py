@@ -24,7 +24,7 @@ from repro.core.columns import (
 )
 from repro.core.entities import ConnectionKind, Supernode
 from repro.core.state import _KIND_CODE, Session, SessionTable
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import AdmissionPolicy, FaultPlan
 from repro.workload.churn import PlayerDayPlan
 
 from ..faults.regen_golden import SCENARIOS
@@ -151,20 +151,22 @@ def _assert_mirror_consistent(state, ctx):
         assert cols.start_subcycle[player] <= cols.end_subcycle[player]
 
 
-@pytest.mark.parametrize("use_batch_assignment", [False, True])
+@pytest.mark.parametrize("admission", [False, True])
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_columns_track_sessions_through_chaos(monkeypatch, seed,
-                                              use_batch_assignment):
+                                              admission):
     def verifier_stage(state, ctx):
         _assert_mirror_consistent(state, ctx)
 
     monkeypatch.setattr(sweep, "SUBCYCLE_STAGES",
                         sweep.SUBCYCLE_STAGES + (verifier_stage,))
-    config = SCENARIOS["cloudfog_advanced"].with_(
-        seed=seed,
-        fault_plan=FaultPlan.poisson(rate_per_day=4.0, days=2,
-                                     seed=seed + 100))
-    system = CloudFogSystem(config)
-    system.state.use_batch_assignment = use_batch_assignment
-    result = system.run(days=2)
+    plan = FaultPlan.poisson(rate_per_day=4.0, days=2, seed=seed + 100)
+    if admission:
+        # A tight cloud cap sheds joins mid-cohort: the arrival stage
+        # then commits only the admitted sessions.
+        plan = plan.with_(admission=AdmissionPolicy(max_cloud_sessions=5))
+    config = SCENARIOS["cloudfog_advanced"].with_(seed=seed,
+                                                  fault_plan=plan)
+    result = CloudFogSystem(config).run(days=2)
     assert result.days  # the run actually measured something
+    assert (result.faults.joins_shed > 0) == admission
