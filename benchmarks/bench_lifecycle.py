@@ -111,6 +111,28 @@ def calibration_rate(rounds: int = 3, iterations: int = 20_000) -> float:
     return iterations / best
 
 
+def calibrated_rates(measure, repeats: int) -> dict:
+    """Median rate, calibration rate and their ratio over ``repeats``.
+
+    ``measure()`` runs the workload once and returns its rate.  Each
+    run is bracketed by calibrations, so host speed drifting between
+    repeats cancels in the ratio.
+    """
+    rates, calibrations, calibrated = [], [], []
+    for _ in range(repeats):
+        before = calibration_rate()
+        rate = measure()
+        calibration = (before + calibration_rate()) / 2.0
+        rates.append(rate)
+        calibrations.append(calibration)
+        calibrated.append(rate / calibration)
+    return {
+        "rate_per_s": float(np.median(rates)),
+        "calibration_per_s": float(np.median(calibrations)),
+        "calibrated_rate": float(np.median(calibrated)),
+    }
+
+
 def bench_joins(num_players: int, num_supernodes: int, days: int,
                 seed: int, repeats: int) -> dict:
     config = cloudfog_advanced(num_players=num_players, num_datacenters=6,
@@ -118,25 +140,17 @@ def bench_joins(num_players: int, num_supernodes: int, days: int,
     # Warmup days run the identical join pipeline, they just don't
     # record — scale the recorded count back up to joins simulated.
     warmup = min(config.schedule.warmup_days, max(0, days - 1))
-    joins_per_s, calibrations, calibrated = [], [], []
-    for _ in range(repeats):
-        # Each run is bracketed by calibrations, so host speed drifting
-        # between repeats cancels in the ratio.
-        before = calibration_rate()
+    joins = 0
+
+    def measure() -> float:
+        nonlocal joins
         wall, result = _arrivals_wall(config, days)
-        calibration = (before + calibration_rate()) / 2.0
         joins = round(len(result.sessions) / (days - warmup) * days)
-        joins_per_s.append(joins / wall)
-        calibrations.append(calibration)
-        calibrated.append(joins / wall / calibration)
-    return {
-        "joins": joins,
-        "days": days,
-        "repeats": repeats,
-        "joins_per_s": float(np.median(joins_per_s)),
-        "calibration_per_s": float(np.median(calibrations)),
-        "calibrated_rate": float(np.median(calibrated)),
-    }
+        return joins / wall
+
+    figures = calibrated_rates(measure, repeats)
+    return {"joins": joins, "days": days, "repeats": repeats,
+            "joins_per_s": figures.pop("rate_per_s"), **figures}
 
 
 def bench_departures(num_supernodes: int, per_node: int, rounds: int,

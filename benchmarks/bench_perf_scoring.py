@@ -1,26 +1,26 @@
-"""Performance benchmark for the vectorised hot paths.
+"""Performance benchmark for the scoring hot path and a whole run.
 
 Measures three things and writes them to ``BENCH_perf.json``:
 
-* **Session scoring** — the batch scorer
-  (:meth:`CloudFogSystem._score_sessions_inner`) against the scalar
-  reference loop on one day's sessions, in sessions/second.  The two
-  paths are bit-identical (asserted here before timing); the benchmark
-  exists to show the batch path is also much faster.
-* **Directory joins** — the spatial-grid
-  :meth:`SupernodeDirectory.candidates_for` against a linear-scan +
-  full-argsort reference (the pre-grid implementation), in
-  lookups/second.
+* **Session scoring** — :func:`repro.core.scoring.score_sessions_batch`
+  on one day's sessions, in sessions/second.
+* **End to end** — a fixed CloudFog/A run (construction excluded), in
+  player-days/second.
 * **Sweep wall-clock** — a multi-variant comparison sweep run
   sequentially vs with ``--jobs`` worker processes.
+
+Scoring and end-to-end figures are medians over nine runs, each
+bracketed by :func:`bench_lifecycle.calibration_rate` (a fixed
+interpreter + small-numpy loop; :func:`bench_lifecycle.calibrated_rates`
+does the bracketing).  ``calibrated_rate`` divides each run's rate by
+that loop's rate, so the figure compares across machines;
+``scoring.calibrated_rate`` and ``end_to_end.calibrated_rate`` are the
+CI trend gate (``tools/bench_trend.py --key ...``).
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_perf_scoring.py
-    PYTHONPATH=src python benchmarks/bench_perf_scoring.py --tiny --check
-
-``--check`` exits non-zero when the batch scorer is not faster than the
-scalar loop (the CI perf-smoke gate).
+    PYTHONPATH=src python benchmarks/bench_perf_scoring.py --tiny
 """
 
 from __future__ import annotations
@@ -32,16 +32,20 @@ import pathlib
 import sys
 import time
 
-import numpy as np
-
-from repro.core.config import cloudfog_basic
-from repro.core.selection import SupernodeDirectory
+from repro.core import scoring
 from repro.core.accounting import RunResult
+from repro.core.config import cloudfog_advanced, cloudfog_basic
 from repro.core.system import CloudFogSystem
 from repro.experiments.parallel import VariantTask, run_variants
 from repro.experiments.testbeds import Testbed
 
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+from bench_lifecycle import calibrated_rates  # noqa: E402
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Calibrated runs per figure; the reported values are their medians.
+REPEATS = 9
 
 
 def _build_scored_day(num_players: int, num_supernodes: int, seed: int):
@@ -58,92 +62,38 @@ def _build_scored_day(num_players: int, num_supernodes: int, seed: int):
 
 
 def bench_scoring(num_players: int, num_supernodes: int, seed: int,
-                  repeats: int) -> dict:
+                  calls: int) -> dict:
     system, sessions, loads, cloud_rate = _build_scored_day(
         num_players, num_supernodes, seed)
-
-    def scalar():
-        return system._score_sessions_scalar(
-            0, sessions, loads, cloud_rate,
-            system.rng_factory.stream("qos-0"))
-
-    def batch():
-        return system._score_sessions_inner(
-            0, sessions, loads, cloud_rate,
-            system.rng_factory.stream("qos-0"))
-
-    # Equivalence before speed: same named RNG stream, same records.
-    assert batch() == scalar(), "batch scorer diverged from scalar"
-
-    # Interleaved best-of-N: round-robin keeps background noise from
-    # landing entirely on one contender.
-    scalar_times, batch_times = [], []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        scalar()
-        scalar_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        batch()
-        batch_times.append(time.perf_counter() - t0)
-    scalar_s, batch_s = min(scalar_times), min(batch_times)
     n = len(sessions)
-    return {
-        "sessions": n,
-        "scalar_sessions_per_s": n / scalar_s,
-        "batch_sessions_per_s": n / batch_s,
-        "speedup": scalar_s / batch_s,
-    }
 
-
-def _linear_candidates(directory: SupernodeDirectory, player: int,
-                       count: int):
-    """The pre-grid lookup, verbatim: per-call capacity scan over the
-    whole pool, vectorised distances, full argsort."""
-    available = [i for i, sn in enumerate(directory.supernodes)
-                 if sn.has_capacity]
-    if not available:
-        return []
-    coords = directory._coords[available]
-    deltas = coords - directory.topology.player_coords[player][None, :]
-    distances = np.sqrt((deltas ** 2).sum(axis=1))
-    order = np.argsort(distances)[:count]
-    return [directory.supernodes[available[int(i)]] for i in order]
-
-
-def bench_joins(num_players: int, num_supernodes: int, seed: int,
-                lookups: int, count: int = 8) -> dict:
-    config = cloudfog_basic(num_players=num_players,
-                            num_supernodes=num_supernodes, seed=seed)
-    system = CloudFogSystem(config)
-    directory = system.directory
-    rng = np.random.default_rng(seed)
-    players = rng.integers(0, system.topology.num_players, size=lookups)
-
-    for player in players[:50]:  # correctness spot-check before timing
-        grid = directory.candidates_for(int(player), count)
-        linear = _linear_candidates(directory, int(player), count)
-        assert [sn.supernode_id for sn in grid] == \
-            [sn.supernode_id for sn in linear], "grid lookup diverged"
-
-    # Interleaved best-of-3, same rationale as the scoring bench.
-    grid_times, linear_times = [], []
-    for _ in range(3):
+    def measure() -> float:
         t0 = time.perf_counter()
-        for player in players:
-            directory.candidates_for(int(player), count)
-        grid_times.append(time.perf_counter() - t0)
+        for _ in range(calls):
+            scoring.score_sessions_batch(
+                system.state, 0, sessions, loads, cloud_rate,
+                system.rng_factory.stream("qos-0"))
+        return n * calls / (time.perf_counter() - t0)
+
+    figures = calibrated_rates(measure, REPEATS)
+    return {"sessions": n, "calls": calls,
+            "sessions_per_s": figures.pop("rate_per_s"), **figures}
+
+
+def bench_end_to_end(num_players: int, num_supernodes: int, days: int,
+                     seed: int) -> dict:
+    config = cloudfog_advanced(num_players=num_players,
+                               num_supernodes=num_supernodes, seed=seed)
+
+    def measure() -> float:
+        system = CloudFogSystem(config)  # construction is not timed
         t0 = time.perf_counter()
-        for player in players:
-            _linear_candidates(directory, int(player), count)
-        linear_times.append(time.perf_counter() - t0)
-    grid_s, linear_s = min(grid_times), min(linear_times)
-    return {
-        "lookups": lookups,
-        "supernodes": len(directory),
-        "grid_joins_per_s": lookups / grid_s,
-        "linear_joins_per_s": lookups / linear_s,
-        "speedup": linear_s / grid_s,
-    }
+        system.run(days=days)
+        return num_players * days / (time.perf_counter() - t0)
+
+    figures = calibrated_rates(measure, REPEATS)
+    return {"players": num_players, "days": days,
+            "player_days_per_s": figures.pop("rate_per_s"), **figures}
 
 
 def bench_sweep(num_players: int, seed: int, days: int, jobs: int) -> dict:
@@ -172,30 +122,27 @@ def bench_sweep(num_players: int, seed: int, days: int, jobs: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the vectorised scoring/join/sweep paths.")
+        description="Benchmark scoring, a whole run and the sweep.")
     parser.add_argument("--tiny", action="store_true",
                         help="CI-sized workload (seconds, not minutes)")
     parser.add_argument("--jobs", type=int, default=4,
                         help="worker processes for the sweep benchmark")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless the batch scorer beats the "
-                             "scalar loop")
     parser.add_argument("--output", default=None,
                         help="output path (default "
                              "benchmarks/results/BENCH_perf.json)")
     args = parser.parse_args(argv)
 
     if args.tiny:
-        players, supernodes, repeats, lookups, days = 400, 24, 3, 2000, 2
+        players, supernodes, calls, days = 400, 24, 20, 2
     else:
-        players, supernodes, repeats, lookups, days = 2000, 120, 9, 10000, 3
+        players, supernodes, calls, days = 2000, 120, 10, 3
 
     results = {
         "workload": {"players": players, "supernodes": supernodes,
                      "tiny": args.tiny, "cpu_count": os.cpu_count()},
-        "scoring": bench_scoring(players, supernodes, seed=3,
-                                 repeats=repeats),
-        "joins": bench_joins(players, supernodes, seed=3, lookups=lookups),
+        "scoring": bench_scoring(players, supernodes, seed=3, calls=calls),
+        "end_to_end": bench_end_to_end(players, supernodes, days=days,
+                                       seed=3),
         "sweep": bench_sweep(players, seed=3, days=days, jobs=args.jobs),
     }
 
@@ -204,23 +151,17 @@ def main(argv=None) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(results, indent=2) + "\n")
 
-    scoring, joins, sweep = (results["scoring"], results["joins"],
-                             results["sweep"])
-    print(f"scoring: {scoring['batch_sessions_per_s']:,.0f} sessions/s "
-          f"batch vs {scoring['scalar_sessions_per_s']:,.0f} scalar "
-          f"({scoring['speedup']:.1f}x)")
-    print(f"joins:   {joins['grid_joins_per_s']:,.0f} lookups/s grid vs "
-          f"{joins['linear_joins_per_s']:,.0f} linear "
-          f"({joins['speedup']:.1f}x)")
-    print(f"sweep:   {sweep['parallel_s']:.1f}s at --jobs {sweep['jobs']} "
-          f"vs {sweep['sequential_s']:.1f}s sequential "
+    scoring_, end_to_end, sweep = (results["scoring"],
+                                   results["end_to_end"], results["sweep"])
+    print(f"scoring:    {scoring_['sessions_per_s']:,.0f} sessions/s, "
+          f"{scoring_['calibrated_rate']:.4f} per calibration loop/s")
+    print(f"end to end: {end_to_end['player_days_per_s']:,.0f} "
+          f"player-days/s, {end_to_end['calibrated_rate']:.5f} per "
+          f"calibration loop/s ({end_to_end['calibration_per_s']:,.0f}/s)")
+    print(f"sweep:      {sweep['parallel_s']:.1f}s at --jobs "
+          f"{sweep['jobs']} vs {sweep['sequential_s']:.1f}s sequential "
           f"({sweep['speedup']:.1f}x)")
     print(f"wrote {output}")
-
-    if args.check and scoring["speedup"] <= 1.0:
-        print("FAIL: batch scoring is not faster than the scalar loop",
-              file=sys.stderr)
-        return 1
     return 0
 
 

@@ -18,10 +18,10 @@ Two kinds of columns coexist:
   (``online and load < capacity``), and a session's mutable fields
   (``supernode_id``/``kind``/latency mirrors, the ``active`` byte,
   the ``degraded`` flag) — are refreshed by the owning entity at every
-  mutation that can change them.  Batch readers (the spatial
-  directory's ring scan, the vectorised departure/fault masks, shard
-  planners) test one byte instead of chasing Python properties per
-  entry.
+  mutation that can change them.  Batch readers (the directory's
+  ranking walk and full pass, the vectorised departure/fault masks,
+  shard planners) test one byte instead of chasing Python properties
+  per entry.
 
 The stores are plain data: no methods mutate them except the owning
 entities.  They are *not* checkpointed — :mod:`repro.persist.snapshot`

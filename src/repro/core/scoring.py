@@ -1,10 +1,11 @@
 """Session scoring: per-day QoS evaluation of every live session.
 
-The scoring stage of the pipeline.  The batch scorer
-(:func:`score_sessions_batch`) and the scalar reference loop
-(:func:`score_sessions_scalar`) are pinned bit-identical to each other;
-fault penalties fold in *after* scoring so the RNG consumption of the
-scoring path never shifts (:func:`apply_fault_penalties`).
+The scoring stage of the pipeline: one vectorised QoS evaluation per
+day (:func:`score_sessions_batch`).  Its reference, a per-session loop
+over the scalar estimate, lives with the tests
+(``tests/helpers/scoring_oracle.py``) and is pinned bit-identical to
+it; fault penalties fold in *after* scoring so the RNG consumption of
+the scoring path never shifts (:func:`apply_fault_penalties`).
 
 Layering: imports ``core.state`` / ``core.accounting`` and foundation
 modules only — never the orchestrator, the façade, or ``experiments``
@@ -20,13 +21,8 @@ import numpy as np
 
 from .. import obs
 from ..network.latency import PLAYOUT_PROCESSING_MS
-from ..network.transport import PathSpec
 from ..streaming.continuity import is_satisfied
-from ..streaming.session import (
-    SessionConfig,
-    estimate_continuity,
-    estimate_continuity_batch,
-)
+from ..streaming.session import estimate_continuity_batch
 from .accounting import (
     CLOUD_FLOW_HEADROOM,
     CLOUD_FLOW_SHARE_FLOOR_MBPS,
@@ -38,8 +34,7 @@ from .state import SimState
 
 __all__ = ["CDN_COORDINATION_MS", "QOS_SAMPLES", "QOS_DURATION_S",
            "server_latency_ms", "score_sessions", "apply_fault_penalties",
-           "gather_session_params", "score_sessions_batch",
-           "score_sessions_scalar"]
+           "gather_session_params", "score_sessions_batch"]
 
 #: Coordination penalty when CDN sites cooperate on game state (§4.2:
 #: "the servers need to cooperate with each other to compute new game
@@ -66,14 +61,9 @@ def server_latency_ms(state: SimState, player: int,
 def score_sessions(state: SimState, day, sessions, loads, cloud_rate,
                    rng) -> list[SessionRecord]:
     with obs.get_tracer().span("score_sessions", day=day,
-                               sessions=len(sessions),
-                               batch=state.use_batch_scoring):
-        if state.use_batch_scoring:
-            records = score_sessions_batch(state, day, sessions, loads,
-                                           cloud_rate, rng)
-        else:
-            records = score_sessions_scalar(state, day, sessions, loads,
-                                            cloud_rate, rng)
+                               sessions=len(sessions)):
+        records = score_sessions_batch(state, day, sessions, loads,
+                                       cloud_rate, rng)
         if state.faults.active and state.faults.penalties:
             records = apply_fault_penalties(state, records)
         return records
@@ -87,8 +77,8 @@ def apply_fault_penalties(state: SimState,
     Penalties accumulate per player during the sweep (stream
     interruption while recovering, lost update messages) as a
     continuity fraction lost; they apply *after* scoring so the
-    batch and scalar scorers stay bit-identical to each other and
-    the RNG consumption of the scoring path never shifts.
+    scorer stays bit-identical to its reference loop and the RNG
+    consumption of the scoring path never shifts.
     """
     penalties = state.faults.penalties
     out = []
@@ -108,15 +98,15 @@ def gather_session_params(state: SimState, sessions, loads, cloud_rate):
 
     The per-session arithmetic (load means, utilisation, per-flow
     shares) runs on plain Python floats in session order — exactly
-    the scalar reference loop — so the batch scorer receives
+    the per-session reference loop — so the batch estimate receives
     bit-identical inputs.  Per-window utilisation and share values
     are memoised per ``(target, start, end)`` key: the repeated
-    value is the scalar loop's own arithmetic computed once, not a
-    re-derivation, so the memo cannot change a bit.  Continuity deadline semantics: the
-    game's Table-2 requirement applies to packet delivery on the
-    downstream path (upstream 0, processing = encode only); server
-    interaction pipelines with rendering, so it affects only the
-    response metric.
+    value is the reference loop's own arithmetic computed once, not
+    a re-derivation, so the memo cannot change a bit.  Continuity
+    deadline semantics: the game's Table-2 requirement applies to
+    packet delivery on the downstream path (upstream 0, processing =
+    encode only); server interaction pipelines with rendering, so it
+    affects only the response metric.
     """
     hours = state.config.schedule.hours_per_day
     budget = cloud_egress_budget(state)
@@ -132,10 +122,8 @@ def gather_session_params(state: SimState, sessions, loads, cloud_rate):
                        if state.compression is not None else 0.0)
     load_stats: dict[tuple[int, int, int], tuple[float, float]] = {}
     cloud_utils: dict[tuple[int, int], float] = {}
-    cols = getattr(sessions, "columns", None)
     meta = []  # (player, session, game, target, server_latency_ms)
     budgets: list[float] = []
-    path_lat: list[float] = []
     senders: list[float] = []
     processing: list[float] = []
     utils: list[float] = []
@@ -169,7 +157,7 @@ def gather_session_params(state: SimState, sessions, loads, cloud_rate):
                 concurrent = float(cloud_rate[start:end + 1].mean())
                 utilization = min(2.0, concurrent / budget)
                 cloud_utils[window] = utilization
-            # Always >= the 0.5 Mbps floor, so the scalar loop's
+            # Always >= the 0.5 Mbps floor, so the reference loop's
             # max(0.05, share) clamp is a no-op here.
             sender_share = max(CLOUD_FLOW_SHARE_FLOOR_MBPS,
                                CLOUD_FLOW_HEADROOM * game.stream_rate_mbps)
@@ -182,8 +170,6 @@ def gather_session_params(state: SimState, sessions, loads, cloud_rate):
             server_latency = server_cache.get(player, default_hop_ms)
         meta.append((player, session, game, target, server_latency))
         budgets.append(game.latency_requirement_ms)
-        if cols is None:
-            path_lat.append(session.downstream_one_way_ms)
         senders.append(sender_share)
         processing.append(encode_ms)
         utils.append(utilization)
@@ -192,8 +178,7 @@ def gather_session_params(state: SimState, sessions, loads, cloud_rate):
     # per-session attribute reads appended, in the same (dict) order.
     players_arr = np.fromiter((m[0] for m in meta), dtype=np.intp,
                               count=len(meta))
-    path_arr = (cols.latency_ms[players_arr] if cols is not None
-                else np.asarray(path_lat, dtype=np.float64))
+    path_arr = sessions.columns.latency_ms[players_arr]
     receivers_arr = np.asarray(download,
                                dtype=np.float64)[players_arr]
     arrays = (np.asarray(budgets, dtype=np.float64), path_arr,
@@ -207,9 +192,10 @@ def score_sessions_batch(state: SimState, day, sessions, loads, cloud_rate,
                          rng) -> list[SessionRecord]:
     """Batch scorer: one vectorised QoS evaluation for the day.
 
-    Bit-identical to :func:`score_sessions_scalar` for the same
-    RNG stream (pinned by tests): parameters are gathered with the
-    scalar loop's own arithmetic and the batched estimate draws the
+    Bit-identical to the per-session reference loop in
+    ``tests/helpers/scoring_oracle.py`` for the same RNG stream
+    (pinned by tests): parameters are gathered with the reference
+    loop's own arithmetic and the batched estimate draws the
     identical random sequence.
     """
     if not sessions:
@@ -222,16 +208,12 @@ def score_sessions_batch(state: SimState, day, sessions, loads, cloud_rate,
         duration_s=QOS_DURATION_S,
         adaptive=state.config.strategies.rate_adaptation,
         transport=state.transport, n_samples=QOS_SAMPLES)
-    # Element-wise float64 addition in the scalar loop's operand
+    # Element-wise float64 addition in the reference loop's operand
     # order, then one exact tolist() per column — identical bits to
     # per-record Python-float arithmetic without 3 numpy scalar
     # extractions per session.
-    cols = getattr(sessions, "columns", None)
-    if cols is not None:
-        upstreams = cols.upstream_ms[np.fromiter(
-            (m[0] for m in meta), dtype=np.intp, count=len(meta))]
-    else:
-        upstreams = np.array([m[1].upstream_one_way_ms for m in meta])
+    upstreams = sessions.columns.upstream_ms[np.fromiter(
+        (m[0] for m in meta), dtype=np.intp, count=len(meta))]
     server_lats = np.array([m[4] for m in meta])
     responses = (upstreams + outcome.mean_response_latency_ms
                  + server_lats + PLAYOUT_PROCESSING_MS).tolist()
@@ -251,81 +233,3 @@ def score_sessions_batch(state: SimState, day, sessions, loads, cloud_rate,
         ))
     return records
 
-
-def score_sessions_scalar(state: SimState, day, sessions, loads, cloud_rate,
-                          rng) -> list[SessionRecord]:
-    """Scalar reference scorer: one estimate call per session.
-
-    Kept verbatim from the pre-batch implementation (adapted only
-    to read the dense :class:`~repro.core.accounting.SweepLoads`
-    rows instead of the old per-supernode dicts — same accumulated
-    values).  It is the ground truth the batch path is pinned
-    against and the baseline of the scoring benchmark, so it
-    deliberately shares none of the batch path's memoisation.
-    """
-    records = []
-    hours = state.config.schedule.hours_per_day
-    budget = cloud_egress_budget(state)
-    for player, session in sessions.items():
-        game = state.games[player]
-        plan = session.plan
-        start = min(plan.start_subcycle, hours)
-        end = min(hours, start + int(np.ceil(plan.duration_hours)) - 1)
-
-        if session.supernode_id is not None:
-            sn = state.supernode_pool[session.supernode_id]
-            row = loads.row(session.supernode_id)
-            counts = loads.counts[row, start:end + 1]
-            rates = loads.rates[row, start:end + 1]
-            mean_count = max(1.0, float(counts.mean()))
-            mean_rate = float(rates.mean())
-            effective_upload = sn.upload_mbps * sn.throttle
-            utilization = min(2.0, mean_rate / effective_upload)
-            share = effective_upload / mean_count
-            target = session.supernode_id
-        else:
-            concurrent = float(cloud_rate[start:end + 1].mean())
-            utilization = min(2.0, concurrent / budget)
-            share = max(CLOUD_FLOW_SHARE_FLOOR_MBPS,
-                        CLOUD_FLOW_HEADROOM * game.stream_rate_mbps)
-            target = int(state.nearest_dc[player])
-
-        server_latency = server_latency_ms(state, player, session.kind)
-        encode_ms = 0.0
-        if (state.compression is not None
-                and session.supernode_id is None):
-            encode_ms = state.compression.encode_latency_ms
-        path = PathSpec(
-            one_way_latency_ms=session.downstream_one_way_ms,
-            sender_share_mbps=max(0.05, share),
-            receiver_download_mbps=float(
-                state.topology.player_links.download_mbps[player]))
-        # Continuity deadline: the game's Table-2 requirement applied
-        # to packet delivery on the downstream path.  Server
-        # interaction pipelines with rendering, so it affects the
-        # response metric but not per-packet delivery.
-        session_config = SessionConfig(
-            response_budget_ms=game.latency_requirement_ms,
-            tolerance=game.tolerance,
-            path=path,
-            upstream_one_way_ms=0.0,
-            processing_ms=encode_ms,
-            sender_utilization=utilization,
-            duration_s=QOS_DURATION_S,
-            adaptive=state.config.strategies.rate_adaptation,
-        )
-        outcome = estimate_continuity(session_config, rng, state.transport,
-                                      n_samples=QOS_SAMPLES)
-        response = (session.upstream_one_way_ms
-                    + outcome.mean_response_latency_ms
-                    + server_latency + PLAYOUT_PROCESSING_MS)
-        records.append(SessionRecord(
-            player=player, day=day, game=game.name, kind=session.kind,
-            target=target,
-            response_latency_ms=response,
-            server_latency_ms=server_latency,
-            continuity=outcome.continuity,
-            satisfied=outcome.satisfied,
-            join_latency_ms=session.join_latency_ms,
-        ))
-    return records

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import obs
 from ..network.topology import Topology
 from ..reputation.scores import ReputationTable
 from .entities import Supernode
@@ -69,20 +68,14 @@ def delay_threshold_ms(game_requirement_ms: float,
 class SupernodeDirectory:
     """The cloud's supernode table: locations and available capacities.
 
-    When the supernodes share one columnar store (the usual case: one
-    pool, one :class:`~repro.core.columns.SupernodeColumns`),
-    :meth:`candidates_for` is a single vectorised pass — mask by the
-    shared availability bytes, partition out the ``count`` nearest —
-    whose cost is flat no matter how saturated the pool is.  Mixed or
-    unbound supernode sets fall back to a uniform spatial grid: cells
-    hold pool indices and the lookup expands square rings around the
-    player's cell until the ``count`` nearest available supernodes are
-    guaranteed found (every point outside rings ``0..r`` lies strictly
-    farther than ``r`` cell widths from the player).
-
-    The columnar lookup first walks a cached per-player ranking of the
-    pool (:meth:`_ranked_candidates`); only a player it cannot answer
-    for takes the full pass.
+    The listed supernodes share one columnar store (one pool, one
+    :class:`~repro.core.columns.SupernodeColumns`), and
+    :meth:`candidates_for` reads its availability bytes.  A lookup
+    first walks a cached per-player ranking of the pool
+    (:meth:`_ranked_candidates`); only a player the ranking cannot
+    answer for takes the full pass — mask by the availability bytes,
+    partition out the ``count`` nearest — whose cost is flat no matter
+    how saturated the pool is.
     """
 
     def __init__(self, topology: Topology, supernodes: list[Supernode]):
@@ -93,111 +86,44 @@ class SupernodeDirectory:
         return len(self.supernodes)
 
     def _rebuild_state(self, supernodes: list[Supernode]) -> None:
-        """(Re)derive coordinate arrays and the spatial grid."""
-        self.supernodes = supernodes
-        n = len(supernodes)
-        # Pool supernodes share one columnar store: the ring scan then
-        # tests a single availability byte per entry instead of three
-        # Python properties.  Mixed/unbound sets fall back to the
-        # per-object has_capacity path.
+        """(Re)derive the availability views over the listed supernodes.
+
+        An empty set is valid (Cloud deploys no supernodes); a
+        non-empty one must be bound to a single columnar store.
+        """
         cols = supernodes[0].columns if supernodes else None
-        if cols is not None and all(sn.columns is cols for sn in supernodes):
-            self._avail: bytearray | None = cols.available
-            self._gids: list[int] | None = [sn.supernode_id
-                                            for sn in supernodes]
-            # Live uint8 view of the shared availability bytes (same
-            # memory — entity setters mutate it, the view sees it), plus
-            # the directory-index → global-id gather for the batch scan.
-            self._avail_np: np.ndarray | None = np.frombuffer(
-                cols.available, dtype=np.uint8)
-            self._gids_np: np.ndarray | None = np.array(self._gids,
-                                                        dtype=np.intp)
-            # Pool id -> listed supernode (None: not in this directory),
-            # for the ranking walk.
-            self._by_gid: list[Supernode | None] | None = \
-                [None] * cols.size
-            for sn in supernodes:
-                self._by_gid[sn.supernode_id] = sn
-            # The cached per-player pool ranking keys on the pool's
-            # immutable coordinates: keep it across rebuilds of the
-            # same pool, drop it when the store itself changes.
-            if getattr(self, "_pool_cols", None) is not cols:
-                self._pool_cols = cols
-                self._ranking: np.ndarray | None = None
-                self._ties: np.ndarray | None = None
-        else:
-            self._avail = None
-            self._gids = None
-            self._avail_np = None
-            self._gids_np = None
-            self._by_gid = None
-            self._pool_cols = None
-            self._ranking = None
-            self._ties = None
-        self._coords = np.array([[sn.x_km, sn.y_km] for sn in supernodes],
-                                dtype=np.float64).reshape(n, 2)
-        self._access = np.array([sn.access_ms for sn in supernodes],
-                                dtype=np.float64)
-        # Plain-float coordinate lists: the ring scan touches a handful
-        # of entries per lookup, where Python floats beat numpy scalars.
-        self._xs = self._coords[:, 0].tolist()
-        self._ys = self._coords[:, 1].tolist()
-        if n == 0:
-            self._origin = (0.0, 0.0)
-            self._cell_km = 1.0
-            self._grid_nx = self._grid_ny = 0
-            self._cells: dict[tuple[int, int], list[int]] = {}
+        for sn in supernodes:
+            if cols is None or sn.columns is not cols:
+                raise ValueError(
+                    f"supernode {sn.supernode_id} is not bound to the "
+                    f"directory's SupernodeColumns store; bind every "
+                    f"listed supernode to one store with bind_columns()")
+        self.supernodes = supernodes
+        if cols is None:
             return
-        mins = self._coords.min(axis=0)
-        maxs = self._coords.max(axis=0)
-        extent = float(max(maxs[0] - mins[0], maxs[1] - mins[1]))
-        # ~2 supernodes per occupied cell keeps rings shallow without
-        # fragmenting the pool across thousands of empty cells.
-        per_axis = max(1, int(np.ceil(np.sqrt(n / 2.0))))
-        self._cell_km = extent / per_axis if extent > 0 else 1.0
-        self._origin = (float(mins[0]), float(mins[1]))
-        self._grid_nx = int((maxs[0] - mins[0]) / self._cell_km) + 1
-        self._grid_ny = int((maxs[1] - mins[1]) / self._cell_km) + 1
-        cells: dict[tuple[int, int], list[int]] = {}
-        for i in range(n):
-            key = (min(self._grid_nx - 1,
-                       int((self._xs[i] - self._origin[0]) / self._cell_km)),
-                   min(self._grid_ny - 1,
-                       int((self._ys[i] - self._origin[1]) / self._cell_km)))
-            cells.setdefault(key, []).append(i)
-        self._cells = cells
+        self._avail = cols.available
+        # Live uint8 view of the shared availability bytes (same
+        # memory — entity setters mutate it, the view sees it), plus
+        # the directory-index → global-id gather for the full pass.
+        self._avail_np = np.frombuffer(cols.available, dtype=np.uint8)
+        self._gids_np = np.array([sn.supernode_id for sn in supernodes],
+                                 dtype=np.intp)
+        # Pool id -> listed supernode (None: not in this directory),
+        # for the ranking walk.
+        self._by_gid: list[Supernode | None] = [None] * cols.size
+        for sn in supernodes:
+            self._by_gid[sn.supernode_id] = sn
+        # The cached per-player pool ranking keys on the pool's
+        # immutable coordinates: keep it across rebuilds of the same
+        # pool, drop it when the store itself changes.
+        if getattr(self, "_pool_cols", None) is not cols:
+            self._pool_cols = cols
+            self._ranking: np.ndarray | None = None
+            self._ties: np.ndarray | None = None
 
     def rebuild(self, supernodes: list[Supernode]) -> None:
         """Replace the supernode set (dynamic provisioning re-deploys)."""
         self._rebuild_state(supernodes)
-
-    def _player_cell(self, player: int) -> tuple[float, float, int, int]:
-        px = float(self.topology.player_coords[player, 0])
-        py = float(self.topology.player_coords[player, 1])
-        cx = min(self._grid_nx - 1,
-                 max(0, int((px - self._origin[0]) // self._cell_km)))
-        cy = min(self._grid_ny - 1,
-                 max(0, int((py - self._origin[1]) // self._cell_km)))
-        return px, py, cx, cy
-
-    def _ring_cells(self, cx: int, cy: int, ring: int):
-        """Grid cells at Chebyshev distance exactly ``ring`` from (cx, cy)."""
-        nx, ny = self._grid_nx, self._grid_ny
-        if ring == 0:
-            yield (cx, cy)
-            return
-        x_lo, x_hi = cx - ring, cx + ring
-        y_lo, y_hi = cy - ring, cy + ring
-        for ix in range(max(0, x_lo), min(nx - 1, x_hi) + 1):
-            if y_lo >= 0:
-                yield (ix, y_lo)
-            if y_hi < ny:
-                yield (ix, y_hi)
-        for iy in range(max(0, y_lo + 1), min(ny - 1, y_hi - 1) + 1):
-            if x_lo >= 0:
-                yield (x_lo, iy)
-            if x_hi < nx:
-                yield (x_hi, iy)
 
     def candidates_for(self, player: int, count: int) -> list[Supernode]:
         """The ``count`` closest supernodes with free capacity."""
@@ -205,68 +131,35 @@ class SupernodeDirectory:
             raise ValueError("count must be >= 1")
         if not self.supernodes:
             return []
-        if self._avail_np is not None:
-            found = self._ranked_candidates(player, count)
-            if found is not None:
-                return found
-            # Columnar pool: one vectorised pass over the whole table
-            # beats the ring scan, whose cost degrades towards a full
-            # linear probe exactly when it matters (peak hours, pool
-            # nearly saturated).  Output is identical: the k nearest
-            # available, ties broken by pool index (stable argsort on
-            # equal distances == the (distance², index) tuple sort).
-            px = float(self.topology.player_coords[player, 0])
-            py = float(self.topology.player_coords[player, 1])
-            idx = np.flatnonzero(self._avail_np[self._gids_np])
-            if idx.size == 0:
-                return []
-            dx = self._coords[idx, 0] - px
-            dy = self._coords[idx, 1] - py
-            d2 = dx * dx + dy * dy
-            supernodes = self.supernodes
-            if idx.size > count:
-                # O(n) select of the k nearest, then sort just those.
-                # Everything tied with the k-th distance comes along so
-                # the final (distance², index) order — ties broken by
-                # ascending pool index, as ``idx`` is ascending — never
-                # depends on how argpartition split equal keys.
-                bound = np.partition(d2, count - 1)[count - 1]
-                sel = np.flatnonzero(d2 <= bound)
-                order = sel[np.argsort(d2[sel], kind="stable")[:count]]
-            else:
-                order = np.argsort(d2, kind="stable")
-            return [supernodes[int(i)] for i in idx[order]]
-        px, py, cx, cy = self._player_cell(player)
-        max_ring = max(cx, self._grid_nx - 1 - cx,
-                       cy, self._grid_ny - 1 - cy)
+        found = self._ranked_candidates(player, count)
+        if found is not None:
+            return found
+        # The full pass: the k nearest available, ties broken by
+        # directory index (stable argsort on equal distances == the
+        # (distance², index) tuple sort).
+        px = float(self.topology.player_coords[player, 0])
+        py = float(self.topology.player_coords[player, 1])
+        idx = np.flatnonzero(self._avail_np[self._gids_np])
+        if idx.size == 0:
+            return []
+        gids = self._gids_np[idx]
+        cols = self._pool_cols
+        dx = cols.x_km[gids] - px
+        dy = cols.y_km[gids] - py
+        d2 = dx * dx + dy * dy
+        if idx.size > count:
+            # O(n) select of the k nearest, then sort just those.
+            # Everything tied with the k-th distance comes along so the
+            # final (distance², index) order — ties broken by ascending
+            # directory index, as ``idx`` is ascending — never depends
+            # on how argpartition split equal keys.
+            bound = np.partition(d2, count - 1)[count - 1]
+            sel = np.flatnonzero(d2 <= bound)
+            order = sel[np.argsort(d2[sel], kind="stable")[:count]]
+        else:
+            order = np.argsort(d2, kind="stable")
         supernodes = self.supernodes
-        xs, ys = self._xs, self._ys
-        cells = self._cells
-        # (distance², pool index) pairs; plain tuples sort faster than a
-        # numpy partition at the handful of entries a lookup touches.
-        found: list[tuple[float, int]] = []
-        ring = 0
-        while ring <= max_ring:
-            for key in self._ring_cells(cx, cy, ring):
-                bucket = cells.get(key)
-                if bucket is None:
-                    continue
-                for i in bucket:
-                    if supernodes[i].has_capacity:
-                        dx = xs[i] - px
-                        dy = ys[i] - py
-                        found.append((dx * dx + dy * dy, i))
-            if len(found) >= count:
-                covered = ring * self._cell_km
-                found.sort()
-                if found[count - 1][0] <= covered * covered:
-                    break
-            ring += 1
-        obs.get_registry().histogram(
-            "repro_directory_rings_scanned",
-            buckets=(0, 1, 2, 3, 5, 8, 13, 21)).observe(ring)
-        found.sort()
-        return [supernodes[i] for _, i in found[:count]]
+        return [supernodes[int(i)] for i in idx[order]]
 
     def _ranked_candidates(self, player: int,
                            count: int) -> list[Supernode] | None:

@@ -235,10 +235,6 @@ class SimState:
             config.supernode_capable_share)
         self.topology = self.population.topology
         self.transport = TransportModel()
-        #: Batch (vectorised) session scoring.  The scalar reference
-        #: loop stays available behind this switch for the paired
-        #: equivalence tests and the benchmark harness.
-        self.use_batch_scoring = True
 
         # Fault injection (repro.faults).  Without a FaultPlan this is
         # the shared no-op injector: no RNG stream is created, no hook

@@ -9,8 +9,8 @@ modules above it, one orchestrator on top:
   infrastructure, sticky/reputation/caches) plus construction;
 * :mod:`repro.core.lifecycle` — joins, sticky reuse, the §3.2.2
   migration ladder, supernode removal;
-* :mod:`repro.core.scoring` — per-session QoS (batch + scalar
-  reference paths, pinned bit-identical);
+* :mod:`repro.core.scoring` — per-session QoS, one vectorised
+  evaluation per day;
 * :mod:`repro.core.accounting` — result containers, load timelines,
   Eq.-2 bandwidth / egress budgets, day summaries, credits;
 * :mod:`repro.faults.handlers` — what each scheduled fault does to a
@@ -55,7 +55,7 @@ FAILURE_DETECTION_MS = 500.0
 #: SimState attributes mirrored 1:1 on the façade (read and write).
 _STATE_ATTRS = (
     "config", "rng_factory", "supernode_join_latencies_ms", "population",
-    "topology", "transport", "use_batch_scoring", "faults",
+    "topology", "transport", "faults",
     "failure_detector", "retry_policy", "fault_outcomes", "compression",
     "credits", "ledger", "reputation", "datacenters", "supernode_pool",
     "live_supernodes", "directory", "cdn_coords", "cdn_access",
@@ -199,14 +199,6 @@ class CloudFogSystem:
     def _score_sessions(self, day, sessions, loads, cloud_rate, rng):
         return scoring.score_sessions(self._state, day, sessions, loads,
                                       cloud_rate, rng)
-
-    def _score_sessions_inner(self, day, sessions, loads, cloud_rate, rng):
-        return scoring.score_sessions_batch(self._state, day, sessions,
-                                            loads, cloud_rate, rng)
-
-    def _score_sessions_scalar(self, day, sessions, loads, cloud_rate, rng):
-        return scoring.score_sessions_scalar(self._state, day, sessions,
-                                             loads, cloud_rate, rng)
 
     def _gather_session_params(self, sessions, loads, cloud_rate):
         return scoring.gather_session_params(self._state, sessions, loads,

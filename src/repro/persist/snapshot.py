@@ -24,11 +24,13 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
    non-None at day boundaries once the model is ready), fault
    penalties/accounting, the workload knobs
    (``daily_participants``/``weekly_weights``/start-time/duration
-   models), the execution-mode toggle ``use_batch_scoring`` (a resumed
-   run must score in the mode the original run pinned), and the
-   accumulated :class:`~repro.core.accounting.RunResult`.  A payload
-   with ``use_batch_assignment`` switched on is refused: it was written
-   by a removed snapshot-batched join mode this build no longer has.
+   models), and the accumulated
+   :class:`~repro.core.accounting.RunResult`.  A payload with
+   ``use_batch_assignment`` switched on is refused: it was written by a
+   removed snapshot-batched join mode this build no longer has.  Older
+   payloads also carry a retired scoring-mode flag, which is ignored
+   whatever its value: it chose between two scorers pinned
+   bit-identical, so either value resumes the same run.
 
    Deliberately *not* captured, with reasons:
 
@@ -39,7 +41,7 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
 
    * population/topology/transport/datacenter structure/CDN sites —
      rebuilt deterministically from the serialized ``SystemConfig``;
-   * the supernode directory/spatial index — rebuilt from the live
+   * the supernode directory — rebuilt from the live
      list by :func:`~repro.core.state.deploy`;
    * ``state.games`` — cleared by ``choose_games`` at each day start
      before any read;
@@ -149,7 +151,6 @@ def capture_state(state: SimState) -> dict:
         "config": config_to_dict(state.config),
         "seed": state.rng_factory.seed,
         "current_day": state.current_day,
-        "use_batch_scoring": state.use_batch_scoring,
         "pool_size": len(state.supernode_pool),
         "supernodes": [
             {"id": sn.supernode_id, "online": sn.online,
@@ -238,7 +239,6 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
             f"recorded {payload['pool_size']} — config/code drift?")
     state.rng_factory = RngFactory(payload["seed"])
     state.current_day = payload["current_day"]
-    state.use_batch_scoring = payload["use_batch_scoring"]
     # Earlier builds had an opt-in snapshot-batched join mode.  Off, it
     # was replay-exact, as every run now is; on, the snapshot holds
     # state only that mode produces, so no resume can continue it.

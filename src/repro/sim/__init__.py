@@ -11,17 +11,6 @@ from .engine import (
     Process,
     Timeout,
 )
-from .resources import (
-    Container,
-    FilterStore,
-    Preempted,
-    PreemptivePriorityResource,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
 from .cycles import PAPER_SCHEDULE, Clock, CycleScheduler, Schedule
 from .monitor import Counter, Series, Summary, summarize
 from .rng import EmpiricalDistribution, RngFactory, pareto_capacities, powerlaw_counts
@@ -36,15 +25,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "Timeout",
-    "Container",
-    "FilterStore",
-    "Preempted",
-    "PreemptivePriorityResource",
-    "PriorityResource",
-    "Release",
-    "Request",
-    "Resource",
-    "Store",
     "PAPER_SCHEDULE",
     "Clock",
     "CycleScheduler",

@@ -10,7 +10,6 @@ from .continuity import (
     satisfied_ratio,
 )
 from .compression import LIVERENDER_LIKE, CompressionModel
-from .multiplex import MultiplexConfig, PlayerOutcome, simulate_supernode
 from .qoe import MosBreakdown, QoeModel
 from .segments import DEFAULT_SEGMENT_SECONDS, Segment
 from .session import (
@@ -46,9 +45,6 @@ __all__ = [
     "satisfied_ratio",
     "LIVERENDER_LIKE",
     "CompressionModel",
-    "MultiplexConfig",
-    "PlayerOutcome",
-    "simulate_supernode",
     "MosBreakdown",
     "QoeModel",
     "DEFAULT_SEGMENT_SECONDS",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.columns import SupernodeColumns
 from repro.core.entities import Supernode
 from repro.core.selection import (
     SupernodeDirectory,
@@ -21,12 +22,17 @@ def topology():
 
 
 def make_supernodes(topology, hosts, capacity=5):
-    return [
-        Supernode(supernode_id=i, host_player=h, capacity=capacity,
-                  upload_mbps=10.0, access_ms=4.0,
-                  x_km=float(topology.player_coords[h, 0]),
-                  y_km=float(topology.player_coords[h, 1]))
-        for i, h in enumerate(hosts)]
+    """One supernode per host, all bound to one columnar store."""
+    cols = SupernodeColumns(len(hosts))
+    supernodes = []
+    for i, h in enumerate(hosts):
+        sn = Supernode(supernode_id=i, host_player=h, capacity=capacity,
+                       upload_mbps=10.0, access_ms=4.0,
+                       x_km=float(topology.player_coords[h, 0]),
+                       y_km=float(topology.player_coords[h, 1]))
+        sn.bind_columns(cols)
+        supernodes.append(sn)
+    return supernodes
 
 
 def test_delay_threshold_subtracts_margin():
@@ -55,6 +61,24 @@ def test_directory_skips_full_supernodes(topology):
     supernodes[0].connect(99)
     directory = SupernodeDirectory(topology, supernodes)
     assert [sn.supernode_id for sn in directory.candidates_for(0, 5)] == [1]
+
+
+def test_directory_rejects_supernodes_without_one_store(topology):
+    """A non-empty set must share one columnar store; the error names
+    the first supernode that does not."""
+    bound = make_supernodes(topology, hosts=[1, 2, 3])
+    unbound = Supernode(supernode_id=7, host_player=4, capacity=5,
+                        upload_mbps=10.0, access_ms=4.0)
+    with pytest.raises(ValueError, match="supernode 7 is not bound"):
+        SupernodeDirectory(topology, [unbound] + bound)
+    other = make_supernodes(topology, hosts=[5, 6])
+    with pytest.raises(ValueError, match="supernode 1 is not bound"):
+        SupernodeDirectory(topology, bound[:1] + other[1:] + bound[1:])
+    directory = SupernodeDirectory(topology, bound)
+    with pytest.raises(ValueError, match="supernode 7 is not bound"):
+        directory.rebuild(bound + [unbound])
+    directory.rebuild([])  # Cloud deploys none: empty stays valid
+    assert directory.candidates_for(0, 3) == []
 
 
 def test_directory_count_validation(topology):
@@ -184,8 +208,8 @@ def brute_force_nearest(directory, player, count):
             for _, i in available[:count]]
 
 
-def test_grid_lookup_matches_brute_force(big_topology):
-    """The spatial grid returns exactly the k nearest available nodes."""
+def test_lookup_matches_brute_force(big_topology):
+    """The directory returns exactly the k nearest available nodes."""
     supernodes = make_supernodes(big_topology, hosts=list(range(0, 120, 2)))
     directory = SupernodeDirectory(big_topology, supernodes)
     for player in range(0, 200, 7):
@@ -195,7 +219,7 @@ def test_grid_lookup_matches_brute_force(big_topology):
             assert got == brute_force_nearest(directory, player, count)
 
 
-def test_grid_lookup_respects_incremental_capacity(big_topology):
+def test_lookup_respects_incremental_capacity(big_topology):
     """Filling nodes between lookups changes results without a rebuild."""
     supernodes = make_supernodes(big_topology, hosts=list(range(0, 40, 2)),
                                  capacity=1)
@@ -227,8 +251,8 @@ def test_rebuild_after_failure_matches_fresh_construction(big_topology):
             fresh.probe_delays_ms(player, survivors[:5]).tolist()
 
 
-def test_grid_handles_single_cell_pool(topology):
-    """A tiny pool collapses to one grid cell; lookups still work."""
+def test_single_supernode_pool(topology):
+    """A one-supernode pool answers every count with that supernode."""
     supernodes = make_supernodes(topology, hosts=[4])
     directory = SupernodeDirectory(topology, supernodes)
     assert [sn.supernode_id

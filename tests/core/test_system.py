@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.scoring import CDN_COORDINATION_MS
 from repro.core.state import SimState
+from repro.network.transport import TransportModel
 
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
 
@@ -141,8 +142,9 @@ def test_facade_exposes_shared_state():
 
 def test_facade_attribute_writes_reach_state():
     system = CloudFogSystem(cloudfog_basic(**SMALL))
-    system.use_batch_scoring = False
-    assert system.state.use_batch_scoring is False
+    transport = TransportModel(jitter_fraction=0.3)
+    system.transport = transport
+    assert system.state.transport is transport
     system.daily_participants = 42
     assert system.state.daily_participants == 42
     system._games[7] = "placeholder"

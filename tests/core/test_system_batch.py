@@ -1,32 +1,50 @@
-"""Batch session scoring pinned bit-identical to the scalar reference.
+"""The product session scorer pinned bit-identical to its reference.
 
-``CloudFogSystem.use_batch_scoring`` selects between the vectorised
-scorer (the default) and the scalar loop kept verbatim from the
-pre-batch implementation.  A whole run must produce *identical*
+:func:`repro.core.scoring.score_sessions_batch` is the only scorer the
+pipeline runs; ``tests/helpers/scoring_oracle.py`` keeps the scalar
+per-session loop it replaced.  A whole run must produce *identical*
 ``SessionRecord`` and ``DayMetrics`` lists either way — same seed, same
 bits — across every deployment mode, with and without jitter, with and
-without cloud compression.
+without cloud compression.  No golden digest covers the Cloud, CDN,
+compressed-cloud or heavy-jitter runs, so this is their only check.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import config as configs
+from repro.core import scoring
 from repro.core.accounting import DayMetrics, RunResult, SweepLoads
 from repro.core.system import CloudFogSystem
 from repro.network.transport import TransportModel
 
+from ..helpers.scoring_oracle import score_sessions_scalar
 
-def run_both(build, days=2, transport=None):
-    """One run per scoring path from identical configs; return both."""
-    results = []
-    for batch in (True, False):
+
+def run_both(monkeypatch, build, days=2, transport=None):
+    """One run with the product scorer, one with the reference loop
+    substituted, from identical configs; return both."""
+
+    def run():
         system = CloudFogSystem(build())
-        system.use_batch_scoring = batch
         if transport is not None:
             system.transport = transport
-        results.append(system.run(days=days))
-    return results
+        return system.run(days=days)
+
+    reference_days = []
+
+    def reference(*args):
+        reference_days.append(args[1])
+        return score_sessions_scalar(*args)
+
+    product = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(scoring, "score_sessions_batch", reference)
+        reference_run = run()
+    # The substitution must really reach the pipeline, or the
+    # comparison would hold vacuously.
+    assert reference_days == list(range(days))
+    return product, reference_run
 
 
 MODES = {
@@ -42,16 +60,16 @@ MODES = {
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_batch_run_bit_identical_to_scalar(mode):
-    batch, scalar = run_both(MODES[mode])
+def test_batch_run_bit_identical_to_scalar(monkeypatch, mode):
+    batch, scalar = run_both(monkeypatch, MODES[mode])
     assert batch.sessions == scalar.sessions  # frozen dataclass ==
     assert batch.days == scalar.days
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.3])
-def test_batch_identical_without_and_with_heavy_jitter(jitter):
+def test_batch_identical_without_and_with_heavy_jitter(monkeypatch, jitter):
     transport = TransportModel(jitter_fraction=jitter)
-    batch, scalar = run_both(MODES["cloudfog-advanced"],
+    batch, scalar = run_both(monkeypatch, MODES["cloudfog-advanced"],
                              transport=transport)
     assert batch.sessions == scalar.sessions
     assert batch.days == scalar.days

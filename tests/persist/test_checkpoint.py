@@ -151,6 +151,21 @@ def test_resume_refuses_a_batch_assignment_checkpoint(tmp_path):
             assert run_digests(resume_run(path)) == run_digests(expected)
 
 
+def test_resume_ignores_a_retired_scoring_mode_flag(tmp_path):
+    """Older snapshots recorded which of two bit-identical scorers ran.
+    The key is no longer written, and a payload that still carries it
+    — either value — resumes to the uninterrupted run's digests."""
+    hook = Checkpointer(tmp_path / "run", every=1)
+    expected = CloudFogSystem(BASELINE).run(days=DAYS,
+                                            on_day_end=hook.on_day_end)
+    payload = read_checkpoint(hook.written[0])
+    assert "use_batch_scoring" not in payload["state"]
+    for flag in (False, True):
+        payload["state"]["use_batch_scoring"] = flag
+        path = write_checkpoint(tmp_path / f"{flag}.ckpt.json", payload)
+        assert run_digests(resume_run(path)) == run_digests(expected)
+
+
 def test_checkpoint_every_cadence(tmp_path):
     hook = Checkpointer(tmp_path, every=2)
     CloudFogSystem(BASELINE).run(days=5, on_day_end=hook.on_day_end)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1000.0),
@@ -49,72 +48,3 @@ def test_property_sequential_timeouts_sum(delays):
     env.run()
     assert finish[0] == sum(delays)
 
-
-@given(items=st.lists(st.integers(), min_size=1, max_size=40))
-@settings(max_examples=100, deadline=None)
-def test_property_store_is_fifo(items):
-    """Whatever goes into a Store comes out in the same order."""
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-            yield env.timeout(0.1)
-
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == items
-
-
-@given(capacity=st.integers(min_value=1, max_value=5),
-       holds=st.lists(st.floats(min_value=0.1, max_value=5.0),
-                      min_size=1, max_size=25))
-@settings(max_examples=100, deadline=None)
-def test_property_resource_never_exceeds_capacity(capacity, holds):
-    """Concurrent users never exceed the resource capacity."""
-    env = Environment()
-    resource = Resource(env, capacity=capacity)
-    max_seen = [0]
-
-    def user(env, hold):
-        with resource.request() as req:
-            yield req
-            max_seen[0] = max(max_seen[0], resource.count)
-            yield env.timeout(hold)
-
-    for hold in holds:
-        env.process(user(env, hold))
-    env.run()
-    assert max_seen[0] <= capacity
-    assert resource.count == 0  # everything released
-
-
-@given(holds=st.lists(st.floats(min_value=0.1, max_value=3.0),
-                      min_size=2, max_size=20))
-@settings(max_examples=50, deadline=None)
-def test_property_unit_resource_serialises_fifo(holds):
-    """With capacity 1, grant order equals request order."""
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    order = []
-
-    def user(env, index, hold):
-        # Stagger requests so arrival order is well-defined.
-        yield env.timeout(index * 1e-6)
-        with resource.request() as req:
-            yield req
-            order.append(index)
-            yield env.timeout(hold)
-
-    for index, hold in enumerate(holds):
-        env.process(user(env, index, hold))
-    env.run()
-    assert order == list(range(len(holds)))

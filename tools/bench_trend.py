@@ -8,16 +8,17 @@ last commit; this tool compares a freshly produced snapshot against them
 and fails when any tracked higher-is-better metric regressed by more
 than the threshold (default 20 %).
 
-Tracked metrics are dotted paths into the JSON (``scoring.speedup``).
-By default every numeric leaf whose name contains ``speedup`` is
-tracked; pass explicit ``--key`` paths to add others (e.g. the
-full-scale quality ratios) and ``--exclude`` to drop machine-bound ones
-(``sweep.speedup`` scales with CI core count)::
+Tracked metrics are dotted paths into the JSON
+(``scoring.calibrated_rate``).  By default every numeric leaf whose
+name contains ``speedup`` is tracked; pass explicit ``--key`` paths to
+add others (e.g. calibrated rates or the full-scale quality ratios) and
+``--exclude`` to drop machine-bound ones (``sweep.speedup`` scales with
+CI core count)::
 
     python tools/bench_trend.py \\
         --latest BENCH_perf.json \\
         --baseline benchmarks/results/BENCH_perf.json \\
-        --exclude sweep.speedup
+        --key scoring.calibrated_rate --exclude sweep.speedup
 
 Raw wall-clock seconds are deliberately never auto-tracked: they differ
 across machines far more than the 20 % gate; ratios are comparable.
