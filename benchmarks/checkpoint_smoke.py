@@ -6,6 +6,11 @@ reproduces the uninterrupted run's outputs **bit for bit** — session
 records, day metrics, every latency list and (with ``--chaos``) the
 fault-accounting summary.
 
+The resumed run keeps checkpointing into the same directory, so its
+later days are written by a checkpointer whose session encoding starts
+from the restored result.  A second resume, from the last of those
+files, must give the same digests again.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/checkpoint_smoke.py
@@ -31,6 +36,10 @@ from repro.persist import Checkpointer, resume_run  # noqa: E402
 
 class _Interrupted(Exception):
     """Stands in for SIGKILL/OOM right after a checkpoint landed."""
+
+
+def run_digests(result) -> tuple[str, str]:
+    return run_result_digest(result), fault_summary_digest(result.faults)
 
 
 def smoke_plan(days: int) -> FaultPlan:
@@ -66,9 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         fault_plan=smoke_plan(args.days) if args.chaos else None)
 
-    baseline = CloudFogSystem(config).run(days=args.days)
-    expected = (run_result_digest(baseline),
-                fault_summary_digest(baseline.faults))
+    expected = run_digests(CloudFogSystem(config).run(days=args.days))
 
     with tempfile.TemporaryDirectory(prefix="ckpt-smoke-") as tmp:
         hook = Checkpointer(pathlib.Path(tmp), every=1)
@@ -87,18 +94,22 @@ def main(argv: list[str] | None = None) -> int:
             print("FAIL: the interruption hook never fired",
                   file=sys.stderr)
             return 1
-        resumed = resume_run(tmp)
+        rewriter = Checkpointer(pathlib.Path(tmp), every=1)
+        resumed = resume_run(tmp, checkpointer=rewriter)
+        rewritten = rewriter.written[-1]
+        again = resume_run(rewritten)
 
-    actual = (run_result_digest(resumed), fault_summary_digest(resumed.faults))
     print(f"interrupted after day {args.interrupt_after} of {args.days}"
           f" ({'chaos' if args.chaos else 'baseline'} run)")
-    print(f"uninterrupted: {expected[0][:16]}…  faults {expected[1][:16]}…")
-    print(f"resumed:       {actual[0][:16]}…  faults {actual[1][:16]}…")
-    if actual != expected:
-        print("FAIL: resumed run diverged from the uninterrupted run",
-              file=sys.stderr)
-        return 1
-    print("checkpoint smoke OK (bit-identical resume)")
+    legs = (("uninterrupted", expected), ("resumed", run_digests(resumed)),
+            (f"from {rewritten.name}", run_digests(again)))
+    for label, actual in legs:
+        print(f"{label + ':':<31}{actual[0][:16]}…  faults {actual[1][:16]}…")
+        if actual != expected:
+            print(f"FAIL: {label} diverged from the uninterrupted run",
+                  file=sys.stderr)
+            return 1
+    print("checkpoint smoke OK (bit-identical resume, twice)")
     return 0
 
 

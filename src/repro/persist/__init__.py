@@ -25,6 +25,7 @@ from .checkpoint import (
     CHECKPOINT_GLOB,
     Checkpointer,
     LoadedCheckpoint,
+    SessionEncoder,
     checkpoint_path,
     latest_checkpoint,
     latest_valid_checkpoint,
@@ -38,7 +39,9 @@ from .codec import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointVersionError,
+    EncodedPayload,
     canonical_json,
+    canonical_object,
     payload_digest,
     read_checkpoint,
     write_checkpoint,
@@ -59,7 +62,9 @@ __all__ = [
     "CheckpointError",
     "CheckpointVersionError",
     "CheckpointCorruptError",
+    "EncodedPayload",
     "canonical_json",
+    "canonical_object",
     "payload_digest",
     "read_checkpoint",
     "write_checkpoint",
@@ -77,6 +82,7 @@ __all__ = [
     "latest_checkpoint",
     "latest_valid_checkpoint",
     "LoadedCheckpoint",
+    "SessionEncoder",
     "Checkpointer",
     "resume_run",
 ]

@@ -13,6 +13,13 @@ and the snapshot enumerates all cross-day mutable state
 reproduces the uninterrupted run's outputs bit for bit — pinned against
 the golden digests by ``tests/persist``.
 
+A save costs the current state plus the session rows added since the
+previous save: ``RunResult.sessions`` only ever grows by ``extend``
+and its records are frozen, so a :class:`Checkpointer` keeps the
+canonical text of rows it already wrote (:class:`SessionEncoder`) and
+encodes only the new ones.  The file bytes are those of a full
+re-encode.
+
 Save/load emit ``checkpoint_save`` / ``checkpoint_load`` spans and
 ``repro_checkpoint_{saves,loads}_total`` counters plus a
 ``repro_checkpoint_bytes`` gauge (no-ops unless :func:`repro.obs.enable`
@@ -21,22 +28,26 @@ ran, like all instrumentation).
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .. import obs
 from ..core.accounting import RunResult
 from ..core.state import SimState
 from ..core.sweep import run_schedule
-from .codec import CheckpointError, read_checkpoint, write_checkpoint
-from .snapshot import (capture_result, capture_state, restore_result,
-                       restore_state)
+from .codec import (CheckpointError, EncodedPayload, canonical_json,
+                    canonical_object, read_checkpoint, write_checkpoint)
+from .snapshot import (capture_result_except_sessions, capture_state,
+                       restore_result, restore_state, session_row)
 
 __all__ = ["CHECKPOINT_GLOB", "checkpoint_path", "save_checkpoint",
            "load_checkpoint", "latest_checkpoint",
            "latest_valid_checkpoint", "LoadedCheckpoint",
-           "Checkpointer", "resume_run"]
+           "SessionEncoder", "Checkpointer", "resume_run"]
 
 #: File-name pattern of one day's checkpoint inside a checkpoint dir.
 _NAME_TEMPLATE = "checkpoint-day{day:04d}.json"
@@ -49,9 +60,74 @@ def checkpoint_path(directory: str | Path, day: int) -> Path:
     return Path(directory) / _NAME_TEMPLATE.format(day=day)
 
 
+class SessionEncoder:
+    """Append-only canonical encoding of a run's ``RunResult.sessions``.
+
+    Keeps the canonical text of the rows already encoded as one chunk
+    per :meth:`encode` call and encodes only the rows appended since.
+    It starts over when handed a different ``RunResult``, a shorter
+    list, or a list whose last cached position holds a different
+    record object — anything but the sweep's ``extend``.
+    """
+
+    def __init__(self) -> None:
+        self._reset(None)
+
+    def _reset(self, result: RunResult | None) -> None:
+        self._result = result
+        self._chunks: list[str] = []
+        self._count = 0
+        self._last = None
+
+    def encode(self, result: RunResult) -> list[str]:
+        """Text pieces that concatenate to ``canonical_json`` of the
+        session rows ``capture_result(result)`` would write."""
+        sessions = result.sessions
+        count = self._count
+        if (result is not self._result or len(sessions) < count
+                or (count and sessions[count - 1] is not self._last)):
+            self._reset(result)
+            count = 0
+        if len(sessions) > count:
+            rows = list(map(session_row, islice(sessions, count, None)))
+            self._chunks.append(canonical_json(rows)[1:-1])
+            self._count = len(sessions)
+            self._last = sessions[-1]
+        pieces = ["["]
+        for chunk in self._chunks:
+            if len(pieces) > 1:
+                pieces.append(",")
+            pieces.append(chunk)
+        pieces.append("]")
+        return pieces
+
+
+@contextmanager
+def _gc_paused():
+    """Hold off the cyclic garbage collector for a block.
+
+    A capture allocates hundreds of thousands of short-lived, acyclic
+    containers; left on, the collector answers that burst with full
+    collections whose cost follows the whole heap, not the snapshot.
+    Nothing the block frees needs the collector.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def save_checkpoint(path: str | Path, state: SimState, result: RunResult,
-                    day: int, total_days: int) -> Path:
+                    day: int, total_days: int, *,
+                    sessions: SessionEncoder | None = None) -> Path:
     """Snapshot a run after ``day`` finished; returns the written path.
+
+    The payload is ``{"day", "run", "state", "result"}`` and is encoded
+    member by member: ``sessions`` (a fresh encoder unless one is
+    passed, as :class:`Checkpointer` does) supplies the session rows.
 
     When telemetry is live (:func:`repro.obs.enable`), the accumulated
     time series and event log ride along under a ``telemetry`` key —
@@ -60,18 +136,25 @@ def save_checkpoint(path: str | Path, state: SimState, result: RunResult,
     matches the uninterrupted run's.  Disabled runs write the exact
     payload they always did.
     """
-    with obs.get_tracer().span("checkpoint_save", day=day):
+    with obs.get_tracer().span("checkpoint_save", day=day), _gc_paused():
         obs.get_events().emit("checkpoint_save", day=day, path=str(path))
-        payload = {
-            "day": day,
-            "run": {"total_days": total_days},
-            "state": capture_state(state),
-            "result": capture_result(result),
+        if sessions is None:
+            sessions = SessionEncoder()
+        result_members = {
+            name: (canonical_json(value),) for name, value
+            in capture_result_except_sessions(result).items()}
+        result_members["sessions"] = sessions.encode(result)
+        members = {
+            "day": (canonical_json(day),),
+            "run": (canonical_json({"total_days": total_days}),),
+            "state": (canonical_json(capture_state(state)),),
+            "result": canonical_object(result_members),
         }
         telemetry = obs.capture_telemetry()
         if telemetry is not None:
-            payload["telemetry"] = telemetry
-        written = write_checkpoint(path, payload)
+            members["telemetry"] = (canonical_json(telemetry),)
+        written = write_checkpoint(
+            path, EncodedPayload(day, canonical_object(members)))
     registry = obs.get_registry()
     registry.counter("repro_checkpoint_saves_total").inc()
     registry.gauge("repro_checkpoint_bytes").set(written.stat().st_size)
@@ -158,12 +241,18 @@ class Checkpointer:
     A final day off the cadence is *not* snapshotted — crash recovery
     restarts from the last cadence point, which is the deal ``every``
     buys.
+
+    Its :class:`SessionEncoder` carries the session rows from save to
+    save, so each save encodes only the rows of the days since the
+    previous one.
     """
 
     directory: Path
     every: int = 1
     #: Paths written by this checkpointer, in save order.
     written: list[Path] = field(default_factory=list, init=False)
+    sessions: SessionEncoder = field(default_factory=SessionEncoder,
+                                     init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.every < 1:
@@ -179,7 +268,8 @@ class Checkpointer:
         """The ``run_schedule``/``CycleScheduler`` day-end hook."""
         if (day + 1) % self.every == 0:
             self.written.append(save_checkpoint(
-                self.path_for(day), state, result, day, total_days))
+                self.path_for(day), state, result, day, total_days,
+                sessions=self.sessions))
 
 
 def resume_run(source: str | Path, days: int | None = None,

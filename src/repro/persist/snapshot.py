@@ -58,7 +58,9 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
      :func:`repro.obs.capture_telemetry` — precisely so this
      simulation-state inventory stays simulation-only.
 
-Payloads are pure JSON values.  ``json`` round-trips finite floats
+Captured payloads are JSON values, except that pairs and rows may be
+tuples, which ``json`` encodes as arrays (a loaded payload has lists
+there; restore accepts either).  ``json`` round-trips finite floats
 exactly, and integer dict keys are stored as explicit pairs (JSON
 object keys are strings) in original insertion order.
 """
@@ -66,6 +68,7 @@ object keys are strings) in original insertion order.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 
 import numpy as np
 
@@ -86,6 +89,7 @@ from .codec import CheckpointCorruptError, CheckpointVersionError
 
 __all__ = ["config_to_dict", "config_from_dict", "capture_state",
            "restore_state", "overlay_state", "capture_result",
+           "capture_result_except_sessions", "session_row",
            "restore_result"]
 
 _GAME_BY_NAME = {game.name: game for game in GAME_CATALOGUE}
@@ -163,9 +167,11 @@ def capture_state(state: SimState) -> dict:
         "live_ids": [sn.supernode_id for sn in state.live_supernodes],
         "supernode_join_latencies_ms":
             list(state.supernode_join_latencies_ms),
-        "sticky": [[player, sn] for player, sn in state.sticky.items()],
+        # Tuples encode as JSON arrays, so (key, value) item pairs and
+        # CandidateEntry namedtuples go to ``json`` as they are.
+        "sticky": list(state.sticky.items()),
         "candidates": [
-            [player, [[e.supernode_id, e.delay_ms] for e in entries]]
+            [player, list(entries)]
             for player, entries in state.candidates._lists.items()],
         "ratings": [
             [player, sn, [[r.value, r.day] for r in ratings]]
@@ -180,13 +186,9 @@ def capture_state(state: SimState) -> dict:
              "credits_usd": a.credits_usd, "costs_usd": a.costs_usd,
              "gb_served": a.gb_served, "days_enrolled": a.days_enrolled}
             for a in state.credits.accounts.values()],
-        "datacenters": [
-            [[player, server] for player, server
-             in dc._player_server.items()]
-            for dc in state.datacenters],
-        "server_latency_cache": [
-            [player, ms] for player, ms
-            in state.server_latency_cache.items()],
+        "datacenters": [list(dc._player_server.items())
+                        for dc in state.datacenters],
+        "server_latency_cache": list(state.server_latency_cache.items()),
         "provisioner": provisioner,
         "fault_outcomes": _summary_to_dict(state.fault_outcomes),
         "fault_penalties": (
@@ -329,8 +331,26 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
 # ----------------------------------------------------------------------
 # RunResult
 # ----------------------------------------------------------------------
+#: A session record's row: its fields in ``SessionRecord`` order, the
+#: connection kind by value (``_value_`` is the member's plain value
+#: attribute; ``.value`` goes through a slower descriptor).  A tuple
+#: encodes as a JSON array.
+session_row = attrgetter(
+    "player", "day", "game", "kind._value_", "target",
+    "response_latency_ms", "server_latency_ms", "continuity",
+    "satisfied", "join_latency_ms")
+
+
 def capture_result(result: RunResult) -> dict:
     """Serialize the accumulated accounting of a (partial) run."""
+    payload = capture_result_except_sessions(result)
+    payload["sessions"] = list(map(session_row, result.sessions))
+    return payload
+
+
+def capture_result_except_sessions(result: RunResult) -> dict:
+    """:func:`capture_result` without its ``sessions`` rows, for writers
+    that encode the append-only session list incrementally."""
     return {
         "days": [
             [d.day, d.online_players, d.supernode_players,
@@ -338,11 +358,6 @@ def capture_result(result: RunResult) -> dict:
              d.mean_response_latency_ms, d.mean_server_latency_ms,
              d.mean_continuity, d.satisfied_ratio]
             for d in result.days],
-        "sessions": [
-            [r.player, r.day, r.game, r.kind.value, r.target,
-             r.response_latency_ms, r.server_latency_ms, r.continuity,
-             r.satisfied, r.join_latency_ms]
-            for r in result.sessions],
         "join_latencies_ms": list(result.join_latencies_ms),
         "supernode_join_latencies_ms":
             list(result.supernode_join_latencies_ms),

@@ -8,7 +8,9 @@ from repro.persist import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointVersionError,
+    EncodedPayload,
     canonical_json,
+    canonical_object,
     payload_digest,
     read_checkpoint,
     write_checkpoint,
@@ -112,3 +114,56 @@ def test_write_is_atomic(tmp_path):
     write_checkpoint(path, {"day": 3, "state": {"seed": 8}})
     assert list(tmp_path.iterdir()) == [path]
     assert read_checkpoint(path)["state"]["seed"] == 8
+
+
+def test_written_document_is_canonical_json(tmp_path):
+    """Sorted keys, no whitespace: the file is its own canonical form."""
+    path = write_checkpoint(tmp_path / "ck.json", PAYLOAD)
+    text = path.read_text()
+    assert text == canonical_json(json.loads(text))
+    assert text.startswith('{"format":"repro-checkpoint","manifest":')
+
+
+@pytest.mark.parametrize("value", [
+    {}, {"b": [1, 2.5], "a": {"z": None, "y": "é"}, "c": True}, PAYLOAD])
+def test_canonical_object_joins_members_like_canonical_json(value):
+    members = {key: (canonical_json(item),) for key, item in value.items()}
+    assert "".join(canonical_object(members)) == canonical_json(value)
+
+
+def test_encoded_payload_writes_the_same_bytes_as_its_dict(tmp_path):
+    pieces = canonical_object({
+        "day": ("3",),
+        "state": ['{"seed":7,', '"values":[1.5,2.25]}'],
+    })
+    encoded = write_checkpoint(tmp_path / "encoded.json",
+                               EncodedPayload(3, pieces))
+    plain = write_checkpoint(tmp_path / "plain.json", PAYLOAD)
+    assert encoded.read_bytes() == plain.read_bytes()
+    assert read_checkpoint(encoded) == PAYLOAD
+
+
+def test_encoded_payload_requires_day():
+    with pytest.raises(CheckpointError):
+        write_checkpoint("unused.json", EncodedPayload(-1, ("{}",)))
+
+
+def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
+    """A write interrupted before the rename leaves neither a temp file
+    nor a damaged previous checkpoint."""
+    from repro.persist import codec
+
+    path = write_checkpoint(tmp_path / "ck.json", PAYLOAD)
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(src, dst):
+        raise Interrupted
+
+    monkeypatch.setattr(codec.os, "replace", interrupt)
+    with pytest.raises(Interrupted):
+        write_checkpoint(path, {"day": 4})
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [path]
+    assert read_checkpoint(path) == PAYLOAD
