@@ -32,7 +32,7 @@ import pathlib
 import sys
 import time
 
-from repro.core import scoring
+from repro.core import scoring, sweep
 from repro.core.accounting import RunResult
 from repro.core.config import cloudfog_advanced, cloudfog_basic
 from repro.core.system import CloudFogSystem
@@ -53,10 +53,12 @@ def _build_scored_day(num_players: int, num_supernodes: int, seed: int):
     config = cloudfog_basic(num_players=num_players,
                             num_supernodes=num_supernodes, seed=seed)
     system = CloudFogSystem(config)
-    plans = system._sample_plans(system.rng_factory.stream("plans-0"), day=0)
-    system._choose_games(plans, system.rng_factory.stream("games-0"))
-    sessions, loads, cloud_rate = system._sweep_day(
-        plans, system.rng_factory.stream("selection-0"), RunResult(),
+    state = system.state
+    plans = sweep.sample_plans(state, state.rng_factory.stream("plans-0"),
+                               day=0)
+    sweep.choose_games(state, plans, state.rng_factory.stream("games-0"))
+    sessions, loads, cloud_rate = sweep.sweep_day(
+        state, plans, state.rng_factory.stream("selection-0"), RunResult(),
         measuring=False)
     return system, sessions, loads, cloud_rate
 

@@ -1,34 +1,25 @@
 """Dense columnar entity tables: parallel typed arrays over entity ids.
 
-The object layer (:class:`~repro.core.entities.Supernode`,
-:class:`~repro.core.state.Session`) keeps the per-entity API the
-pipeline mutates — ``connect``/``disconnect``/``fail`` and the scalar
-attribute reads the lifecycle stages make a handful of times per
-session.  The batch layer (directory scans, vectorised selection,
-probe latency math, the vectorised sweep stages) instead reads these
-columns: one contiguous array per field, indexed by entity id.
+Two stores live here, with different ownership:
 
-Two kinds of columns coexist:
+* :class:`SupernodeColumns` mirrors the supernode pool for the batch
+  readers (directory scans, vectorised selection, probe latency math).
+  The :class:`~repro.core.entities.Supernode` object keeps its API and
+  is the only writer: coordinates are written once when a pool entity
+  binds, and the derived ``available`` byte (``online and load <
+  capacity``) is refreshed by every entity mutation that can change
+  it, so readers test one byte instead of chasing Python properties.
+* :class:`SessionColumns` *is* the day's session state: there is no
+  per-session object behind it.  :class:`~repro.core.state.
+  SessionTable` writes a row when a join commits and clears its
+  ``active`` byte when the session leaves service; migration and the
+  fault handlers rewrite the serving supernode, kind and latency
+  columns in place; scoring and the vectorised sweep stages read them.
 
-* **Immutable columns** (coordinates, access delay, upload, capacity;
-  a session's committed rate and play window) are written once when an
-  entity binds to the store and never change — the object keeps its
-  own copy for scalar reads, so there is no dual-write hazard.
-* **Derived mutable columns** — the ``available`` byte per supernode
-  (``online and load < capacity``), and a session's mutable fields
-  (``supernode_id``/``kind``/latency mirrors, the ``active`` byte,
-  the ``degraded`` flag) — are refreshed by the owning entity at every
-  mutation that can change them.  Batch readers (the directory's
-  ranking walk and full pass, the vectorised departure/fault masks,
-  shard planners) test one byte instead of chasing Python properties
-  per entry.
-
-The stores are plain data: no methods mutate them except the owning
-entities.  They are *not* checkpointed — :mod:`repro.persist.snapshot`
-restores the mutable entity state through the entity setters, which
-refresh the derived columns as a side effect (and sessions never cross
-a day boundary at all, so a day's :class:`SessionColumns` dies with
-its sweep).
+Neither store is checkpointed — :mod:`repro.persist.snapshot` restores
+the mutable supernode state through the entity setters, which refresh
+``available`` as a side effect, and sessions never cross a day
+boundary, so a day's :class:`SessionColumns` dies with its sweep.
 """
 
 from __future__ import annotations
@@ -56,8 +47,7 @@ class SupernodeColumns:
     on checkpoint restore).
     """
 
-    __slots__ = ("size", "x_km", "y_km", "access_ms", "upload_mbps",
-                 "capacity", "available")
+    __slots__ = ("size", "x_km", "y_km", "available")
 
     def __init__(self, size: int) -> None:
         if size < 0:
@@ -65,9 +55,6 @@ class SupernodeColumns:
         self.size = size
         self.x_km = np.zeros(size, dtype=np.float64)
         self.y_km = np.zeros(size, dtype=np.float64)
-        self.access_ms = np.zeros(size, dtype=np.float64)
-        self.upload_mbps = np.zeros(size, dtype=np.float64)
-        self.capacity = np.zeros(size, dtype=np.int64)
         #: 1 where the supernode is online with a free slot: the hot
         #: byte the directory's candidate scan tests per entry.
         self.available = bytearray(size)
@@ -76,19 +63,15 @@ class SupernodeColumns:
 class SessionColumns:
     """Parallel typed arrays over ``player`` id for one sweep day.
 
-    Row ``i`` mirrors the live :class:`~repro.core.state.Session` of
-    player ``i`` (``active[i] == 1``) or is dead garbage from an
-    earlier session (``active[i] == 0``) — sessions never outlive a
-    day, so the table is rebuilt by every ``sweep_day``.  The owning
-    ``Session`` object stays the source of truth for scalar reads; the
-    columns exist for the batch masks the vectorised sweep stages and
-    fault handlers take (departure selection, window overlap, kind and
-    supernode filters).
+    Row ``i`` holds the live session of player ``i`` (``active[i] ==
+    1``) or dead garbage from an earlier one (``active[i] == 0``) —
+    sessions never outlive a day, so every ``sweep_day`` builds a new
+    store.
     """
 
-    __slots__ = ("size", "active", "supernode_id", "kind", "rate_mbps",
-                 "latency_ms", "upstream_ms", "start_subcycle",
-                 "end_subcycle", "join_latency_ms", "degraded")
+    __slots__ = ("size", "active", "supernode_id", "kind", "latency_ms",
+                 "upstream_ms", "start_subcycle", "end_subcycle",
+                 "join_latency_ms")
 
     def __init__(self, size: int) -> None:
         if size < 0:
@@ -100,16 +83,12 @@ class SessionColumns:
         self.supernode_id = np.full(size, -1, dtype=np.int64)
         #: ``KIND_*`` code of the connection, or ``KIND_NONE``.
         self.kind = np.full(size, KIND_NONE, dtype=np.int8)
-        #: Raw game stream rate committed at join (Mbps).
-        self.rate_mbps = np.zeros(size, dtype=np.float64)
-        #: Downstream one-way latency mirror (ms).
+        #: Downstream one-way latency (ms).
         self.latency_ms = np.zeros(size, dtype=np.float64)
-        #: Upstream one-way latency mirror (ms).
+        #: Upstream one-way latency (ms).
         self.upstream_ms = np.zeros(size, dtype=np.float64)
-        #: Inclusive play window in subcycles, set once at bind.
+        #: Inclusive play window in subcycles, set once at join.
         self.start_subcycle = np.zeros(size, dtype=np.int64)
         self.end_subcycle = np.zeros(size, dtype=np.int64)
-        #: Join latency mirror (ms); NaN when the join was sticky.
+        #: Join latency (ms); NaN when the join was sticky.
         self.join_latency_ms = np.full(size, np.nan, dtype=np.float64)
-        #: 1 once a fault pushed the session from fog to cloud.
-        self.degraded = np.zeros(size, dtype=np.uint8)

@@ -38,7 +38,7 @@ class Supernode:
 
     A pool supernode is *bound* to a shared
     :class:`~repro.core.columns.SupernodeColumns` store
-    (:meth:`bind_columns`): its immutable fields are mirrored into the
+    (:meth:`bind_columns`): its coordinates are mirrored into the
     dense arrays once, and every mutation that can change slot
     availability (connect/disconnect/fail, ``online``/``connected``
     writes) refreshes the store's ``available`` byte so batch readers
@@ -108,9 +108,6 @@ class Supernode:
         self._cols = cols
         cols.x_km[i] = self.x_km
         cols.y_km[i] = self.y_km
-        cols.access_ms[i] = self.access_ms
-        cols.upload_mbps[i] = self.upload_mbps
-        cols.capacity[i] = self.capacity
         self._refresh_available()
 
     @property

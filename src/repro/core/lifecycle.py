@@ -26,7 +26,7 @@ from .selection import delay_threshold_ms, select_supernode
 from .state import Session, SimState, cloud_one_way_ms, player_supernode_ms
 
 __all__ = ["MigrationOutcome", "join", "join_cdn",
-           "migrate", "session_window", "ordered_orphans",
+           "migrate", "ordered_orphans",
            "take_offline", "bring_online", "admit_join",
            "fog_availability", "fail_supernodes"]
 
@@ -140,17 +140,6 @@ def join_cdn(state: SimState, plan: PlayerDayPlan, game: Game) -> Session:
     upstream = cloud_one_way_ms(state, player)
     return Session(plan, ConnectionKind.CLOUD, None, upstream, upstream,
                    None)
-
-
-# ----------------------------------------------------------------------
-# session windows
-# ----------------------------------------------------------------------
-def session_window(session: Session, hours: int) -> tuple[int, int]:
-    """The (start, end) subcycle span of a session, sweep semantics."""
-    start = min(session.plan.start_subcycle, hours)
-    end = min(hours,
-              start + int(np.ceil(session.plan.duration_hours)) - 1)
-    return start, end
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +338,6 @@ def migrate(state: SimState, player: int, l_max: float,
     round's handshake independently times out with this probability
     (never on the final attempt's success), forcing a backoff retry.
     """
-    cols = state.supernode_columns
     pool_size = len(state.supernode_pool)
     for entry in state.candidates.candidates(player):
         if entry.supernode_id >= pool_size:
@@ -363,14 +351,9 @@ def migrate(state: SimState, player: int, l_max: float,
             continue
         # The columnar availability byte is exactly
         # ``online and has_capacity`` (refreshed by every entity
-        # mutation), so the bound-columns path skips two property
-        # chases per entry without changing a single outcome.
-        if cols is not None:
-            available = bool(cols.available[entry.supernode_id])
-        else:
-            candidate = state.supernode_pool[entry.supernode_id]
-            available = candidate.online and candidate.has_capacity
-        if available and entry.delay_ms <= l_max:
+        # mutation): one byte test instead of two property chases.
+        if (state.supernode_columns.available[entry.supernode_id]
+                and entry.delay_ms <= l_max):
             candidate = state.supernode_pool[entry.supernode_id]
             candidate.connect(player)
             state.sticky[player] = candidate.supernode_id

@@ -29,8 +29,9 @@ from .accounting import (
     SessionRecord,
     cloud_egress_budget,
 )
+from .columns import KIND_CDN
 from .entities import ConnectionKind
-from .state import SimState
+from .state import KIND_BY_CODE, SimState
 
 __all__ = ["CDN_COORDINATION_MS", "QOS_SAMPLES", "QOS_DURATION_S",
            "server_latency_ms", "score_sessions", "apply_fault_penalties",
@@ -96,19 +97,20 @@ def apply_fault_penalties(state: SimState,
 def gather_session_params(state: SimState, sessions, loads, cloud_rate):
     """Per-session scoring inputs as parallel arrays.
 
-    The per-session arithmetic (load means, utilisation, per-flow
-    shares) runs on plain Python floats in session order — exactly
-    the per-session reference loop — so the batch estimate receives
-    bit-identical inputs.  Per-window utilisation and share values
-    are memoised per ``(target, start, end)`` key: the repeated
-    value is the reference loop's own arithmetic computed once, not
-    a re-derivation, so the memo cannot change a bit.  Continuity
-    deadline semantics: the game's Table-2 requirement applies to
-    packet delivery on the downstream path (upstream 0, processing =
-    encode only); server interaction pipelines with rendering, so it
-    affects only the response metric.
+    Sessions come in table order; serving supernode, kind, play window
+    and downstream latency are column gathers.  The per-session
+    arithmetic (load means, utilisation, per-flow shares) runs on
+    plain Python floats in that order — exactly the per-session
+    reference loop — so the batch estimate receives bit-identical
+    inputs.  Per-window utilisation and share values are memoised per
+    ``(target, start, end)`` key: the repeated value is the reference
+    loop's own arithmetic computed once, not a re-derivation, so the
+    memo cannot change a bit.  Continuity deadline semantics: the
+    game's Table-2 requirement applies to packet delivery on the
+    downstream path (upstream 0, processing = encode only); server
+    interaction pipelines with rendering, so it affects only the
+    response metric.
     """
-    hours = state.config.schedule.hours_per_day
     budget = cloud_egress_budget(state)
     download = state.topology.player_links.download_mbps
     games = state.games
@@ -120,21 +122,22 @@ def gather_session_params(state: SimState, sessions, loads, cloud_rate):
     default_hop_ms = state.datacenters[0].hop_ms
     encode_cloud_ms = (state.compression.encode_latency_ms
                        if state.compression is not None else 0.0)
+    cols = sessions.columns
+    players = np.fromiter(sessions, dtype=np.intp, count=len(sessions))
     load_stats: dict[tuple[int, int, int], tuple[float, float]] = {}
     cloud_utils: dict[tuple[int, int], float] = {}
-    meta = []  # (player, session, game, target, server_latency_ms)
+    meta = []  # (player, kind code, game, target, server_latency_ms)
     budgets: list[float] = []
     senders: list[float] = []
     processing: list[float] = []
     utils: list[float] = []
-    for player, session in sessions.items():
+    for player, sid, kind, start, end in zip(
+            players.tolist(), cols.supernode_id[players].tolist(),
+            cols.kind[players].tolist(),
+            cols.start_subcycle[players].tolist(),
+            cols.end_subcycle[players].tolist()):
         game = games[player]
-        plan = session.plan
-        start = min(plan.start_subcycle, hours)
-        end = min(hours, start + math.ceil(plan.duration_hours) - 1)
-
-        sid = session.supernode_id
-        if sid is not None:
+        if sid >= 0:
             key = (sid, start, end)
             stats = load_stats.get(key)
             if stats is None:
@@ -164,25 +167,19 @@ def gather_session_params(state: SimState, sessions, loads, cloud_rate):
             encode_ms = encode_cloud_ms
             target = int(nearest_dc[player])
 
-        if session.kind is ConnectionKind.CDN:
+        if kind == KIND_CDN:
             server_latency = CDN_COORDINATION_MS
         else:
             server_latency = server_cache.get(player, default_hop_ms)
-        meta.append((player, session, game, target, server_latency))
+        meta.append((player, kind, game, target, server_latency))
         budgets.append(game.latency_requirement_ms)
         senders.append(sender_share)
         processing.append(encode_ms)
         utils.append(utilization)
-    # Latency and download columns gather in one indexed read each —
-    # the setter-maintained float64 mirrors hold the exact bits the
-    # per-session attribute reads appended, in the same (dict) order.
-    players_arr = np.fromiter((m[0] for m in meta), dtype=np.intp,
-                              count=len(meta))
-    path_arr = sessions.columns.latency_ms[players_arr]
-    receivers_arr = np.asarray(download,
-                               dtype=np.float64)[players_arr]
-    arrays = (np.asarray(budgets, dtype=np.float64), path_arr,
-              np.asarray(senders, dtype=np.float64), receivers_arr,
+    arrays = (np.asarray(budgets, dtype=np.float64),
+              cols.latency_ms[players],
+              np.asarray(senders, dtype=np.float64),
+              np.asarray(download, dtype=np.float64)[players],
               np.asarray(processing, dtype=np.float64),
               np.asarray(utils, dtype=np.float64))
     return meta, arrays
@@ -212,24 +209,28 @@ def score_sessions_batch(state: SimState, day, sessions, loads, cloud_rate,
     # order, then one exact tolist() per column — identical bits to
     # per-record Python-float arithmetic without 3 numpy scalar
     # extractions per session.
-    upstreams = sessions.columns.upstream_ms[np.fromiter(
-        (m[0] for m in meta), dtype=np.intp, count=len(meta))]
+    cols = sessions.columns
+    players = np.fromiter((m[0] for m in meta), dtype=np.intp,
+                          count=len(meta))
     server_lats = np.array([m[4] for m in meta])
-    responses = (upstreams + outcome.mean_response_latency_ms
+    responses = (cols.upstream_ms[players] + outcome.mean_response_latency_ms
                  + server_lats + PLAYOUT_PROCESSING_MS).tolist()
     continuity = outcome.continuity.tolist()
     satisfied = outcome.satisfied.tolist()
+    joins = cols.join_latency_ms[players].tolist()
     records = []
-    for i, (player, session, game, target, server_latency) in \
-            enumerate(meta):
+    for i, (player, kind, game, target, server_latency) in enumerate(meta):
+        join_ms = joins[i]
         records.append(SessionRecord(
-            player=player, day=day, game=game.name, kind=session.kind,
+            player=player, day=day, game=game.name,
+            kind=KIND_BY_CODE[kind],
             target=target,
             response_latency_ms=responses[i],
             server_latency_ms=server_latency,
             continuity=continuity[i],
             satisfied=satisfied[i],
-            join_latency_ms=session.join_latency_ms,
+            # NaN marks a sticky join: no selection latency.
+            join_latency_ms=None if math.isnan(join_ms) else join_ms,
         ))
     return records
 

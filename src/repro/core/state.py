@@ -19,6 +19,8 @@ orchestrator, or ``experiments``.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .. import obs
@@ -35,14 +37,15 @@ from ..workload.churn import DurationMixture, PlayerDayPlan, StartTimeModel
 from ..workload.games import Game
 from ..workload.population import Population, build_population
 from .candidates import CandidateManager
-from .columns import (KIND_CDN, KIND_CLOUD, KIND_NONE, KIND_SUPERNODE,
-                      SessionColumns, SupernodeColumns)
+from .columns import (KIND_CDN, KIND_CLOUD, KIND_SUPERNODE, SessionColumns,
+                      SupernodeColumns)
 from .config import SystemConfig
 from .entities import ConnectionKind, Supernode
 from .provisioning import Provisioner
 from .selection import SupernodeDirectory
 
-__all__ = ["SUPERNODE_MBPS_PER_SLOT", "Session", "SessionTable", "SimState",
+__all__ = ["SUPERNODE_MBPS_PER_SLOT", "KIND_BY_CODE", "Session",
+           "SessionTable", "SimState",
            "build_supernode_pool", "build_cdn_sites", "deploy",
            "set_arrival_rates", "cloud_one_way_ms", "player_supernode_ms"]
 
@@ -50,175 +53,86 @@ __all__ = ["SUPERNODE_MBPS_PER_SLOT", "Session", "SessionTable", "SimState",
 #: top Table-2 level on one stream plus headroom across slots.
 SUPERNODE_MBPS_PER_SLOT = 3.0
 
-#: ConnectionKind → SessionColumns integer code (columns.py sits below
+#: SessionColumns integer code → ConnectionKind (columns.py sits below
 #: entities in the layering, so the mapping lives here).
-_KIND_CODE = {ConnectionKind.SUPERNODE: KIND_SUPERNODE,
-              ConnectionKind.CLOUD: KIND_CLOUD,
-              ConnectionKind.CDN: KIND_CDN}
+KIND_BY_CODE = {KIND_SUPERNODE: ConnectionKind.SUPERNODE,
+                KIND_CLOUD: ConnectionKind.CLOUD,
+                KIND_CDN: ConnectionKind.CDN}
+_KIND_CODE = {kind: code for code, kind in KIND_BY_CODE.items()}
 
 
-class Session:
-    """Per-day session bookkeeping handed between pipeline stages.
+class Session(NamedTuple):
+    """One join's outcome, handed from ``lifecycle.join`` to the sweep.
 
-    Mutable fields (``kind``, ``supernode_id``, the one-way latencies)
-    are properties whose setters mirror into the bound
-    :class:`~repro.core.columns.SessionColumns` row, exactly as
-    ``Supernode`` keeps ``SupernodeColumns.available`` fresh.  The
-    object attribute stays the source of truth for scalar reads — the
-    columns hold float64/int64 copies for batch masks only, so no
-    numpy scalar ever leaks into digest-bound records.
+    Immutable: once :meth:`SessionTable.add` commits it, the session's
+    facts live only in the table's columns, which migration and the
+    fault handlers rewrite in place.
     """
 
-    __slots__ = ("plan", "_kind", "_supernode_id", "_downstream_one_way_ms",
-                 "_upstream_one_way_ms", "join_latency_ms", "_cols")
-
-    def __init__(self, plan: PlayerDayPlan, kind: ConnectionKind,
-                 supernode_id: int | None, downstream_one_way_ms: float,
-                 upstream_one_way_ms: float,
-                 join_latency_ms: float | None) -> None:
-        self.plan = plan
-        self._kind = kind
-        self._supernode_id = supernode_id
-        self._downstream_one_way_ms = downstream_one_way_ms
-        self._upstream_one_way_ms = upstream_one_way_ms
-        self.join_latency_ms = join_latency_ms
-        self._cols: SessionColumns | None = None
-
-    # -- columnar mirror -------------------------------------------------
-    def bind_columns(self, cols: SessionColumns, start: int, end: int,
-                     rate_mbps: float) -> None:
-        """Mirror this session into row ``plan.player`` of ``cols``.
-
-        Writes the full row (the slot may hold a dead earlier session)
-        and marks it active.  ``start``/``end`` are the inclusive play
-        window in subcycles; ``rate_mbps`` the committed game rate.
-        """
-        row = self.plan.player
-        self._cols = cols
-        cols.active[row] = 1
-        cols.supernode_id[row] = (-1 if self._supernode_id is None
-                                  else self._supernode_id)
-        cols.kind[row] = _KIND_CODE.get(self._kind, KIND_NONE)
-        cols.rate_mbps[row] = rate_mbps
-        cols.latency_ms[row] = self._downstream_one_way_ms
-        cols.upstream_ms[row] = self._upstream_one_way_ms
-        cols.start_subcycle[row] = start
-        cols.end_subcycle[row] = end
-        cols.join_latency_ms[row] = (np.nan if self.join_latency_ms is None
-                                     else self.join_latency_ms)
-        cols.degraded[row] = 0
-
-    def unbind_columns(self) -> None:
-        """Clear the mirror row (the session left the table)."""
-        if self._cols is not None:
-            self._cols.active[self.plan.player] = 0
-            self._cols = None
-
-    # -- mirrored mutable fields -----------------------------------------
-    @property
-    def kind(self) -> ConnectionKind:
-        return self._kind
-
-    @kind.setter
-    def kind(self, value: ConnectionKind) -> None:
-        if self._cols is not None:
-            row = self.plan.player
-            self._cols.kind[row] = _KIND_CODE.get(value, KIND_NONE)
-            # A fog session pushed to the cloud by a fault is degraded.
-            if (self._kind is ConnectionKind.SUPERNODE
-                    and value is ConnectionKind.CLOUD):
-                self._cols.degraded[row] = 1
-        self._kind = value
-
-    @property
-    def supernode_id(self) -> int | None:
-        return self._supernode_id
-
-    @supernode_id.setter
-    def supernode_id(self, value: int | None) -> None:
-        if self._cols is not None:
-            self._cols.supernode_id[self.plan.player] = \
-                -1 if value is None else value
-        self._supernode_id = value
-
-    @property
-    def downstream_one_way_ms(self) -> float:
-        return self._downstream_one_way_ms
-
-    @downstream_one_way_ms.setter
-    def downstream_one_way_ms(self, value: float) -> None:
-        if self._cols is not None:
-            self._cols.latency_ms[self.plan.player] = value
-        self._downstream_one_way_ms = value
-
-    @property
-    def upstream_one_way_ms(self) -> float:
-        return self._upstream_one_way_ms
-
-    @upstream_one_way_ms.setter
-    def upstream_one_way_ms(self, value: float) -> None:
-        if self._cols is not None:
-            self._cols.upstream_ms[self.plan.player] = value
-        self._upstream_one_way_ms = value
-
-    def __repr__(self) -> str:  # dataclass-style, for test diffs
-        return (f"Session(plan={self.plan!r}, kind={self._kind!r}, "
-                f"supernode_id={self._supernode_id!r}, "
-                f"downstream_one_way_ms={self._downstream_one_way_ms!r}, "
-                f"upstream_one_way_ms={self._upstream_one_way_ms!r}, "
-                f"join_latency_ms={self.join_latency_ms!r})")
+    plan: PlayerDayPlan
+    kind: ConnectionKind
+    supernode_id: int | None
+    downstream_one_way_ms: float
+    upstream_one_way_ms: float
+    join_latency_ms: float | None
 
 
 class SessionTable:
-    """``dict[int, Session]`` plus its dense columnar mirror.
+    """The day's live sessions: one :class:`SessionColumns` row each.
 
-    Drop-in for the plain dict the sweep used to hand around: the
-    mapping surface (``get``/``pop``/``items``/iteration/``in``) is
-    preserved, and every insert/remove keeps ``self.columns`` in sync
-    through the session's bind/unbind hooks.
+    The only home of a live session's facts — serving supernode, kind,
+    one-way latencies, play window and join latency are columns, read
+    and written in place.  Membership is the insertion-ordered index
+    (iteration, and with it scoring order) plus the ``active`` byte;
+    only :meth:`add` and :meth:`pop` write either.
     """
 
-    __slots__ = ("columns", "_by_player")
+    __slots__ = ("columns", "_order")
 
     def __init__(self, num_players: int) -> None:
         self.columns = SessionColumns(num_players)
-        self._by_player: dict[int, Session] = {}
+        self._order: dict[int, None] = {}
 
-    def add(self, session: Session, start: int, end: int,
-            rate_mbps: float) -> None:
-        self._by_player[session.plan.player] = session
-        session.bind_columns(self.columns, start, end, rate_mbps)
+    def add(self, session: Session, start: int, end: int) -> None:
+        """Commit a joined session playing subcycles ``start..end``.
 
-    def pop(self, player: int, default=None):
-        session = self._by_player.pop(player, None)
-        if session is None:
-            return default
-        session.unbind_columns()
-        return session
+        Writes the full row: the slot may hold a dead earlier session.
+        """
+        row = session.plan.player
+        cols = self.columns
+        self._order[row] = None
+        cols.active[row] = 1
+        cols.supernode_id[row] = (-1 if session.supernode_id is None
+                                  else session.supernode_id)
+        cols.kind[row] = _KIND_CODE[session.kind]
+        cols.latency_ms[row] = session.downstream_one_way_ms
+        cols.upstream_ms[row] = session.upstream_one_way_ms
+        cols.start_subcycle[row] = start
+        cols.end_subcycle[row] = end
+        cols.join_latency_ms[row] = (np.nan if session.join_latency_ms is None
+                                     else session.join_latency_ms)
 
-    def get(self, player: int, default=None):
-        return self._by_player.get(player, default)
+    def pop(self, player: int) -> None:
+        """Take ``player``'s session out of service (no-op if absent)."""
+        if player in self._order:
+            del self._order[player]
+            self.columns.active[player] = 0
 
-    def items(self):
-        return self._by_player.items()
-
-    def keys(self):
-        return self._by_player.keys()
-
-    def values(self):
-        return self._by_player.values()
-
-    def __getitem__(self, player: int) -> Session:
-        return self._by_player[player]
+    def fall_back_to_cloud(self, player: int) -> None:
+        """The cloud streams ``player`` directly from now on."""
+        cols = self.columns
+        cols.kind[player] = KIND_CLOUD
+        cols.supernode_id[player] = -1
+        cols.latency_ms[player] = cols.upstream_ms[player]
 
     def __iter__(self):
-        return iter(self._by_player)
+        return iter(self._order)
 
     def __len__(self) -> int:
-        return len(self._by_player)
+        return len(self._order)
 
     def __contains__(self, player: int) -> bool:
-        return player in self._by_player
+        return player in self._order
 
 
 class SimState:

@@ -135,8 +135,7 @@ class SweepContext:
     loads: SweepLoads
     cloud_rate: np.ndarray
     starts: dict[int, list[PlayerDayPlan]]
-    #: Live sessions keyed by player, with their columnar mirror
-    #: (``sessions.columns``) the vectorised stages mask over.
+    #: The day's live sessions, one ``sessions.columns`` row each.
     sessions: SessionTable
     fault_rng: np.random.Generator | None = None
     #: Admission-control policy (duck-typed AdmissionPolicy) and the
@@ -165,9 +164,8 @@ def stage_departures(state: SimState, ctx: SweepContext) -> None:
 
     Vectorised over :class:`~repro.core.columns.SessionColumns`: the
     mask ``active & end_subcycle == subcycle-1 & supernode_id >= 0``
-    selects exactly the players the per-player ``ends`` bookkeeping
-    used to pop — a popped (dropped/shed) session has ``active == 0``
-    and a cloud/queued session mirrors ``supernode_id == -1``.
+    selects the fog sessions that ended — a popped (shed) session has
+    ``active == 0`` and a cloud/queued one ``supernode_id == -1``.
     """
     cols = ctx.sessions.columns
     ended = np.flatnonzero((cols.active == 1)
@@ -214,8 +212,8 @@ def _commit_cohort(state: SimState, ctx: SweepContext, plans, sessions,
                    ends) -> None:
     """Insert a subcycle's admitted sessions; commit their load spans.
 
-    The table inserts stay per session (they bind the columnar
-    mirror), but the load/cloud-rate span additions collapse into one
+    The table inserts stay per session (each writes one column row),
+    but the load/cloud-rate span additions collapse into one
     :func:`_span_add` per array, applied in plan order.
     """
     subcycle = ctx.subcycle
@@ -231,7 +229,7 @@ def _commit_cohort(state: SimState, ctx: SweepContext, plans, sessions,
     cloud_rates: list[float] = []
     for plan, session, end in zip(plans, sessions, ends):
         rate = games[plan.player].stream_rate_mbps
-        table.add(session, subcycle, end, rate)
+        table.add(session, subcycle, end)
         if session.supernode_id is not None:
             sn_rows.append(ctx.loads.row(session.supernode_id))
             sn_ends.append(end)
@@ -252,7 +250,13 @@ def _commit_cohort(state: SimState, ctx: SweepContext, plans, sessions,
 
 
 def _session_ends(plans, subcycle: int, hours: int) -> list[int]:
-    """Each plan's last subcycle when it starts at ``subcycle``."""
+    """Each plan's last subcycle when it starts at ``subcycle``.
+
+    The one play-window formula: a session joins at ``min(start,
+    hours)`` and plays ``ceil(duration)`` subcycles, clamped to the
+    day (cycles do not wrap).  Everything downstream reads the window
+    from the session table's columns.
+    """
     return np.minimum(hours, subcycle - 1 + np.ceil(
         [plan.duration_hours for plan in plans]).astype(np.int64)).tolist()
 

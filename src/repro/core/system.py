@@ -19,12 +19,11 @@ modules above it, one orchestrator on top:
   explicit stage tuple (departures → faults → arrivals) per subcycle.
 
 :class:`CloudFogSystem` survives as a thin façade over that pipeline:
-it owns one ``SimState`` and delegates every call, keeping the public
-construction-and-run API (and the private attribute names experiment
-and test code grew around) stable.  The deprecation shim that used to
-re-export every moved name from here is gone — import result
-containers from :mod:`repro.core.accounting` and the rest from the
-stage modules listed above.
+it owns one ``SimState`` and delegates the public construction-and-run
+API.  Stage-level work (plans, games, a single day's sweep, migration,
+fault injection) is called on :attr:`CloudFogSystem.state` through the
+stage modules listed above; import result containers from
+:mod:`repro.core.accounting`.
 
 Latency/randomness semantics are unchanged and documented in
 DESIGN.md §10 and the stage modules' docstrings; outputs are pinned
@@ -36,9 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..faults import handlers
 from ..workload.population import Population
-from . import accounting, lifecycle, scoring, sweep
+from . import accounting, lifecycle, sweep
 from . import state as simstate
 from .config import SystemConfig
 from .state import SimState
@@ -62,21 +60,6 @@ _STATE_ATTRS = (
     "provisioner", "candidates", "daily_participants",
 )
 
-#: Historical private façade names → their public SimState attribute.
-#: Tests and experiment helpers reach into these, so they stay live.
-_STATE_ALIASES = {
-    "_sticky": "sticky",
-    "_games": "games",
-    "_live_ids": "live_ids",
-    "_nearest_dc": "nearest_dc",
-    "_server_latency_cache": "server_latency_cache",
-    "_current_day": "current_day",
-    "_deployed_count": "deployed_count",
-    "_weekly_weights": "weekly_weights",
-    "_duration_mixture": "duration_mixture",
-    "_start_times": "start_times",
-}
-
 
 def _state_property(attr: str) -> property:
     def fget(self):
@@ -95,11 +78,6 @@ class CloudFogSystem:
     delegates to the stage modules.  No stage logic lives here.
     """
 
-    #: Per-packet sample count / modelled session length of the fast
-    #: session estimate (legacy aliases of the ``core.scoring`` knobs).
-    _QOS_SAMPLES = scoring.QOS_SAMPLES
-    _QOS_DURATION_S = scoring.QOS_DURATION_S
-
     def __init__(self, config: SystemConfig,
                  population: Population | None = None) -> None:
         self._state = SimState(config, population)
@@ -109,7 +87,6 @@ class CloudFogSystem:
         """The underlying shared simulation state."""
         return self._state
 
-    # -- public API ----------------------------------------------------
     def run(self, days: int | None = None, *,
             result: accounting.RunResult | None = None,
             start_day: int = 0, on_day_end=None) -> accounting.RunResult:
@@ -137,114 +114,7 @@ class CloudFogSystem:
         """Fail ``count`` random live supernodes; reconnect their players."""
         return lifecycle.fail_supernodes(self._state, count, rng, day)
 
-    # -- infrastructure construction ------------------------------------
-    def _build_supernode_pool(self) -> None:
-        simstate.build_supernode_pool(self._state)
-
-    def _build_cdn_sites(self) -> None:
-        simstate.build_cdn_sites(self._state)
-
-    def _deploy(self, supernodes) -> None:
-        simstate.deploy(self._state, supernodes)
-
-    # -- plans / games ---------------------------------------------------
-    def _sample_plans(self, rng: np.random.Generator, day: int = 0):
-        return sweep.sample_plans(self._state, rng, day)
-
-    def _choose_games(self, plans, rng: np.random.Generator) -> None:
-        sweep.choose_games(self._state, plans, rng)
-
-    # -- sweep / assignment / provisioning -------------------------------
-    def _sweep_day(self, plans, rng, result, measuring, day=0):
-        return sweep.sweep_day(self._state, plans, rng, result, measuring,
-                               day)
-
-    def _run_server_assignment(self, rng, result) -> None:
-        sweep.run_server_assignment(self._state, rng, result)
-
-    def _run_provisioning(self, plans, rng) -> None:
-        sweep.run_provisioning(self._state, plans, rng)
-
-    # -- session lifecycle ----------------------------------------------
-    def _join(self, plan, rng):
-        return lifecycle.join(self._state, plan, rng)
-
-    def _join_cdn(self, plan, game):
-        return lifecycle.join_cdn(self._state, plan, game)
-
-    def _migrate(self, player, l_max, rng, transient_refusal=0.0):
-        return lifecycle.migrate(self._state, player, l_max, rng,
-                                 transient_refusal)
-
-    def _session_window(self, session, hours):
-        return lifecycle.session_window(session, hours)
-
-    def _take_offline(self, failed):
-        return lifecycle.take_offline(self._state, failed)
-
-    def _fog_availability(self) -> float:
-        return lifecycle.fog_availability(self._state)
-
-    # -- latency helpers -------------------------------------------------
-    def _cloud_one_way_ms(self, player: int) -> float:
-        return simstate.cloud_one_way_ms(self._state, player)
-
-    def _player_supernode_ms(self, player, sn) -> float:
-        return simstate.player_supernode_ms(self._state, player, sn)
-
-    def _server_latency_ms(self, player, kind) -> float:
-        return scoring.server_latency_ms(self._state, player, kind)
-
-    # -- session scoring -------------------------------------------------
-    def _score_sessions(self, day, sessions, loads, cloud_rate, rng):
-        return scoring.score_sessions(self._state, day, sessions, loads,
-                                      cloud_rate, rng)
-
-    def _gather_session_params(self, sessions, loads, cloud_rate):
-        return scoring.gather_session_params(self._state, sessions, loads,
-                                             cloud_rate)
-
-    def _apply_fault_penalties(self, records):
-        return scoring.apply_fault_penalties(self._state, records)
-
-    # -- bandwidth accounting ---------------------------------------------
-    def _cloud_egress_budget(self) -> float:
-        return accounting.cloud_egress_budget(self._state)
-
-    def _cloud_bandwidth(self, cloud_rate, loads) -> float:
-        return accounting.cloud_bandwidth(self._state, cloud_rate, loads)
-
-    # -- in-run fault injection ------------------------------------------
-    def _apply_faults(self, day, subcycle, sessions, loads, cloud_rate,
-                      frng, result, measuring, hours) -> None:
-        handlers.apply_faults(self._state, day, subcycle, sessions, loads,
-                              cloud_rate, frng, result, measuring, hours)
-
-    def _fault_targets(self, event, frng):
-        return handlers.fault_targets(self._state, event, frng)
-
-    def _inject_crash(self, event, day, subcycle, sessions, loads,
-                      cloud_rate, frng, result, measuring, hours) -> None:
-        handlers.inject_crash(self._state, event, day, subcycle, sessions,
-                              loads, cloud_rate, frng, result, measuring,
-                              hours)
-
-    def _inject_flaky(self, event, frng) -> None:
-        handlers.inject_flaky(self._state, event, frng)
-
-    def _inject_link_degradation(self, event, subcycle, sessions,
-                                 hours) -> None:
-        handlers.inject_link_degradation(self._state, event, subcycle,
-                                         sessions, hours)
-
-    def _inject_update_loss(self, event, subcycle, sessions, hours,
-                            registry) -> None:
-        handlers.inject_update_loss(self._state, event, subcycle, sessions,
-                                    hours, registry)
-
 
 for _attr in _STATE_ATTRS:
     setattr(CloudFogSystem, _attr, _state_property(_attr))
-for _alias, _attr in _STATE_ALIASES.items():
-    setattr(CloudFogSystem, _alias, _state_property(_attr))
-del _attr, _alias
+del _attr

@@ -105,7 +105,7 @@ def per_plan_arrivals(state, ctx) -> None:
             continue
         end = min(ctx.hours, subcycle + int(np.ceil(plan.duration_hours)) - 1)
         rate = state.games[plan.player].stream_rate_mbps
-        ctx.sessions.add(session, subcycle, end, rate)
+        ctx.sessions.add(session, subcycle, end)
         span = slice(subcycle, end + 1)
         if session.supernode_id is not None:
             row = ctx.loads.row(session.supernode_id)

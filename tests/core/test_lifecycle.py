@@ -1,37 +1,21 @@
-"""Tests for repro.core.lifecycle: joins, session windows, failures and
-the §3.2.2 migration ladder."""
+"""Tests for repro.core.lifecycle: joins, failures and the §3.2.2
+migration ladder."""
 
 import numpy as np
 import pytest
 
-from repro.core import CloudFogSystem, ConnectionKind, cloud_only, cloudfog_basic
+from repro.core import CloudFogSystem, ConnectionKind, cloud_only, cloudfog_basic, sweep
 from repro.core.accounting import RunResult
 from repro.core.lifecycle import (
     fail_supernodes,
     fog_availability,
     join,
-    session_window,
     take_offline,
 )
-from repro.core.state import Session, SimState
+from repro.core.state import SimState
 from repro.workload.churn import PlayerDayPlan
 
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
-
-
-def _session(start, duration):
-    plan = PlayerDayPlan(player=0, start_subcycle=start,
-                         duration_hours=duration)
-    return Session(plan, ConnectionKind.CLOUD, None, 10.0, 10.0, None)
-
-
-def test_session_window_clamps_to_day():
-    assert session_window(_session(3, 2.0), hours=24) == (3, 4)
-    assert session_window(_session(3, 2.5), hours=24) == (3, 5)
-    # Starts past the day clamp to the last subcycle.
-    assert session_window(_session(30, 4.0), hours=24) == (24, 24)
-    # Long sessions end at the day boundary (cycles do not wrap).
-    assert session_window(_session(22, 9.0), hours=24) == (22, 24)
 
 
 def test_join_connects_and_counts():
@@ -67,9 +51,10 @@ def test_fail_supernodes_migrates_players():
     system.run(days=1)
     # Re-create a day's connections so supernodes hold players.
     rng = np.random.default_rng(0)
-    plans = system._sample_plans(rng)
-    system._choose_games(plans, rng)
-    system._sweep_day(plans, rng, RunResult(), measuring=False)
+    state = system.state
+    plans = sweep.sample_plans(state, rng)
+    sweep.choose_games(state, plans, rng)
+    sweep.sweep_day(state, plans, rng, RunResult(), measuring=False)
     # Re-connect one player to every live supernode so any failure
     # displaces someone.
     next_player = 0

@@ -1,13 +1,14 @@
 """Tests for the staged subcycle pipeline in repro.core.sweep:
-stage ordering, state handoff through SweepContext, and façade
-delegation equivalence."""
+stage ordering, state handoff through SweepContext, and the play
+window the sweep commits."""
 
 import numpy as np
 
-from repro.core import CloudFogSystem, cloudfog_basic
+from repro.core import cloudfog_basic
 from repro.core import sweep
 from repro.core.accounting import RunResult
 from repro.core.state import SimState
+from repro.workload.churn import PlayerDayPlan
 
 SMALL = dict(num_players=150, num_supernodes=12, seed=3)
 
@@ -99,29 +100,24 @@ def test_fault_stage_inert_without_plan(monkeypatch):
     assert all(ctx.fault_rng is None for ctx in contexts)
 
 
-def test_facade_sweep_matches_module_function():
-    """CloudFogSystem._sweep_day is pure delegation: same inputs, same
-    outputs as calling the pipeline directly."""
-    state, plans = _prepared_state()
-    direct_sessions, direct_loads, direct_cloud = sweep.sweep_day(
-        state, plans, np.random.default_rng(1), RunResult(),
-        measuring=False)
-
-    system = CloudFogSystem(cloudfog_basic(**SMALL))
-    rng = np.random.default_rng(0)
-    facade_plans = system._sample_plans(rng)
-    system._choose_games(facade_plans, rng)
-    facade_sessions, facade_loads, facade_cloud = system._sweep_day(
-        facade_plans, np.random.default_rng(1), RunResult(),
-        measuring=False)
-
-    assert set(facade_sessions) == set(direct_sessions)
-    assert all(facade_sessions[p].kind == direct_sessions[p].kind
-               and facade_sessions[p].supernode_id
-               == direct_sessions[p].supernode_id
-               for p in direct_sessions)
-    assert np.array_equal(facade_loads.counts, direct_loads.counts)
-    assert np.array_equal(facade_cloud, direct_cloud)
+def test_session_window_clamps_to_day():
+    """The sweep's play window: join at ``min(start, hours)``, play
+    ``ceil(duration)`` subcycles, end at the day boundary."""
+    state, _ = _prepared_state()
+    windows = {0: (3, 2.0), 1: (3, 2.5), 2: (30, 4.0), 3: (22, 9.0)}
+    plans = [PlayerDayPlan(player=player, start_subcycle=start,
+                           duration_hours=duration)
+             for player, (start, duration) in windows.items()]
+    sessions, _, _ = sweep.sweep_day(state, plans, np.random.default_rng(1),
+                                     RunResult(), measuring=False)
+    cols = sessions.columns
+    assert {player: (int(cols.start_subcycle[player]),
+                     int(cols.end_subcycle[player]))
+            for player in sessions} == {
+        0: (3, 4), 1: (3, 5),
+        2: (24, 24),   # starts past the day clamp to the last subcycle
+        3: (22, 24),   # cycles do not wrap
+    }
 
 
 def test_run_day_appends_measured_metrics():

@@ -131,13 +131,9 @@ def test_daily_participants_override():
 def test_facade_exposes_shared_state():
     system = CloudFogSystem(cloudfog_basic(**SMALL))
     assert isinstance(system.state, SimState)
-    # Public and legacy-private names are live views of the same state,
-    # not copies.
+    # Mirrored names are live views of the same state, not copies.
     assert system.supernode_pool is system.state.supernode_pool
-    assert system._games is system.state.games
-    assert system._sticky is system.state.sticky
-    assert system._live_ids is system.state.live_ids
-    assert system._nearest_dc is system.state.nearest_dc
+    assert system.candidates is system.state.candidates
 
 
 def test_facade_attribute_writes_reach_state():
@@ -147,8 +143,6 @@ def test_facade_attribute_writes_reach_state():
     assert system.state.transport is transport
     system.daily_participants = 42
     assert system.state.daily_participants == 42
-    system._games[7] = "placeholder"
-    assert system.state.games[7] == "placeholder"
 
 
 # ----------------------------------------------------------------------

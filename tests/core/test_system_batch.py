@@ -92,11 +92,11 @@ def test_fail_supernodes_keeps_live_ids_consistent():
         num_players=150, num_supernodes=10, seed=3))
     system.run(days=1)
     before = {sn.supernode_id for sn in system.live_supernodes}
-    assert system._live_ids == before
+    assert system.state.live_ids == before
     system.fail_supernodes(3, np.random.default_rng(0))
     after = {sn.supernode_id for sn in system.live_supernodes}
     assert len(after) == len(before) - 3
-    assert system._live_ids == after  # was left stale before the fix
+    assert system.state.live_ids == after  # was left stale before the fix
     # The directory only ever serves live supernodes afterwards.
     for player in range(0, 150, 30):
         for sn in system.directory.candidates_for(player, 5):

@@ -22,6 +22,7 @@ from repro.core.accounting import (
     cloud_egress_budget,
 )
 from repro.core.scoring import QOS_DURATION_S, QOS_SAMPLES, server_latency_ms
+from repro.core.state import KIND_BY_CODE
 from repro.network.latency import PLAYOUT_PROCESSING_MS
 from repro.network.transport import PathSpec
 from repro.streaming.session import SessionConfig, estimate_continuity
@@ -33,25 +34,30 @@ def score_sessions_scalar(state, day, sessions, loads, cloud_rate,
                           rng) -> list[SessionRecord]:
     """Scalar reference scorer: one estimate call per session.
 
-    Kept verbatim from the pre-batch implementation (adapted only
-    to read the dense :class:`~repro.core.accounting.SweepLoads`
-    rows instead of the old per-supernode dicts — same accumulated
-    values).  It is the ground truth the product scorer is pinned
-    against, so it deliberately shares none of the batch path's
-    memoisation or column gathers.
+    Kept from the pre-batch implementation, adapted only to read
+    the dense :class:`~repro.core.accounting.SweepLoads` rows instead
+    of the old per-supernode dicts, and each session's facts as
+    scalar reads of its session-table row instead of object
+    attributes — the same values.  It is the ground truth the product
+    scorer is pinned against, so it deliberately shares none of the
+    batch path's memoisation or column gathers.
     """
     records = []
-    hours = state.config.schedule.hours_per_day
     budget = cloud_egress_budget(state)
-    for player, session in sessions.items():
+    cols = sessions.columns
+    for player in sessions:
         game = state.games[player]
-        plan = session.plan
-        start = min(plan.start_subcycle, hours)
-        end = min(hours, start + int(np.ceil(plan.duration_hours)) - 1)
+        start = int(cols.start_subcycle[player])
+        end = int(cols.end_subcycle[player])
+        supernode_id = int(cols.supernode_id[player])
+        kind = KIND_BY_CODE[int(cols.kind[player])]
+        join_latency_ms = float(cols.join_latency_ms[player])
+        if np.isnan(join_latency_ms):
+            join_latency_ms = None
 
-        if session.supernode_id is not None:
-            sn = state.supernode_pool[session.supernode_id]
-            row = loads.row(session.supernode_id)
+        if supernode_id >= 0:
+            sn = state.supernode_pool[supernode_id]
+            row = loads.row(supernode_id)
             counts = loads.counts[row, start:end + 1]
             rates = loads.rates[row, start:end + 1]
             mean_count = max(1.0, float(counts.mean()))
@@ -59,7 +65,7 @@ def score_sessions_scalar(state, day, sessions, loads, cloud_rate,
             effective_upload = sn.upload_mbps * sn.throttle
             utilization = min(2.0, mean_rate / effective_upload)
             share = effective_upload / mean_count
-            target = session.supernode_id
+            target = supernode_id
         else:
             concurrent = float(cloud_rate[start:end + 1].mean())
             utilization = min(2.0, concurrent / budget)
@@ -67,13 +73,12 @@ def score_sessions_scalar(state, day, sessions, loads, cloud_rate,
                         CLOUD_FLOW_HEADROOM * game.stream_rate_mbps)
             target = int(state.nearest_dc[player])
 
-        server_latency = server_latency_ms(state, player, session.kind)
+        server_latency = server_latency_ms(state, player, kind)
         encode_ms = 0.0
-        if (state.compression is not None
-                and session.supernode_id is None):
+        if state.compression is not None and supernode_id < 0:
             encode_ms = state.compression.encode_latency_ms
         path = PathSpec(
-            one_way_latency_ms=session.downstream_one_way_ms,
+            one_way_latency_ms=float(cols.latency_ms[player]),
             sender_share_mbps=max(0.05, share),
             receiver_download_mbps=float(
                 state.topology.player_links.download_mbps[player]))
@@ -93,16 +98,16 @@ def score_sessions_scalar(state, day, sessions, loads, cloud_rate,
         )
         outcome = estimate_continuity(session_config, rng, state.transport,
                                       n_samples=QOS_SAMPLES)
-        response = (session.upstream_one_way_ms
+        response = (float(cols.upstream_ms[player])
                     + outcome.mean_response_latency_ms
                     + server_latency + PLAYOUT_PROCESSING_MS)
         records.append(SessionRecord(
-            player=player, day=day, game=game.name, kind=session.kind,
+            player=player, day=day, game=game.name, kind=kind,
             target=target,
             response_latency_ms=response,
             server_latency_ms=server_latency,
             continuity=outcome.continuity,
             satisfied=outcome.satisfied,
-            join_latency_ms=session.join_latency_ms,
+            join_latency_ms=join_latency_ms,
         ))
     return records

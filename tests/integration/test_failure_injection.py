@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import CloudFogSystem, cloudfog_advanced, cloudfog_basic
+from repro.core import CloudFogSystem, cloudfog_advanced, cloudfog_basic, sweep
 from repro.core.entities import ConnectionKind
 from repro.core.accounting import RunResult
 
 
 def _connect_everyone(system, rng):
-    plans = system._sample_plans(rng)
-    system._choose_games(plans, rng)
-    system._sweep_day(plans, rng, RunResult(), measuring=False)
+    state = system.state
+    plans = sweep.sample_plans(state, rng)
+    sweep.choose_games(state, plans, rng)
+    sweep.sweep_day(state, plans, rng, RunResult(), measuring=False)
     player = 0
     for sn in system.live_supernodes:
         while sn.has_capacity and player < system.topology.num_players:
@@ -118,7 +119,7 @@ def test_failures_until_pool_empty_keep_bookkeeping_consistent():
         system.fail_supernodes(4, rng)
         waves += 1
         live_ids = {sn.supernode_id for sn in system.live_supernodes}
-        assert system._live_ids == live_ids
+        assert system.state.live_ids == live_ids
         assert len(system.directory) == len(system.live_supernodes)
         assert {sn.supernode_id for sn in system.directory.supernodes} \
             == live_ids
