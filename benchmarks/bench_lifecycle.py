@@ -12,10 +12,13 @@ moved onto columnar state, and writes ``BENCH_lifecycle.json``:
   (``tools/bench_trend.py --key joins.calibrated_rate``).  Medians over
   nine runs at ``--tiny``; one run at paper scale, where each takes
   minutes.
-* **Departures** — :meth:`Supernode.disconnect_many` (one set
-  difference + one availability refresh) against the scalar
-  per-player ``disconnect`` loop it replaced.  The two are
-  bit-identical (asserted on a fresh pool before timing).
+* **Departures** — :func:`repro.core.sweep.stage_departures` draining
+  a full session table: every row sits on a supernode, play windows
+  end spread over the day, and the stage runs once per subcycle until
+  every slot is free.  ``departures_per_s`` is rows released over the
+  stage's wall clock, and ``calibrated_rate`` divides it by the same
+  calibration loop as the joins; it is the departures trend gate
+  (``--key departures.calibrated_rate``).
 * **Migrations** — :func:`repro.core.lifecycle.fail_supernodes` over a
   warmed system: players re-attached through their candidate lists,
   then a supernode failure wave re-homes them down the §3.2.2
@@ -24,9 +27,7 @@ moved onto columnar state, and writes ``BENCH_lifecycle.json``:
 
 Default workload is the paper's population (100 k players, 6 000
 supernodes) over a 2-day schedule; ``--tiny`` shrinks everything to
-CI seconds-scale.  ``--check`` exits non-zero when batched departures
-are not faster than their scalar reference (the perf-smoke gate).  The
-committed snapshot under ``benchmarks/results`` is the ``--tiny``
+CI seconds-scale.  The committed snapshot under ``benchmarks/results`` is the ``--tiny``
 workload so ``tools/bench_trend.py`` diffs CI runs
 against a like-for-like baseline; the paper-scale arrivals figure
 lives in ``BENCH_full_scale.json``.
@@ -43,15 +44,16 @@ import argparse
 import json
 import os
 import pathlib
-import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.core import sweep
 from repro.core.config import cloudfog_advanced
 from repro.core.entities import Supernode
-from repro.core.lifecycle import fail_supernodes
+from repro.core.lifecycle import attach, fail_supernodes
+from repro.core.state import SessionTable
 from repro.core.system import CloudFogSystem
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -153,63 +155,49 @@ def bench_joins(num_players: int, num_supernodes: int, days: int,
             "joins_per_s": figures.pop("rate_per_s"), **figures}
 
 
-def bench_departures(num_supernodes: int, per_node: int, rounds: int,
-                     seed: int) -> dict:
+def bench_departures(num_supernodes: int, per_node: int, hours: int,
+                     rounds: int, seed: int, repeats: int) -> dict:
     rng = np.random.default_rng(seed)
-    departing = [
-        [sid * per_node + int(offset)
-         for offset in rng.permutation(per_node)[:per_node // 2]]
-        for sid in range(num_supernodes)]
+    rows = num_supernodes * per_node
+    sids = np.repeat(np.arange(num_supernodes), per_node)
+    # Windows end in 1..hours-1, so stage_departures releases every
+    # row at one of the subcycles 2..hours.
+    ends = rng.integers(1, hours, size=rows)
+    pool = [Supernode(supernode_id=sid, host_player=-1, capacity=per_node,
+                      upload_mbps=30.0, access_ms=5.0)
+            for sid in range(num_supernodes)]
+    # The stage reads only the pool off the state.
+    state = SimpleNamespace(supernode_pool=pool)
 
-    def build_pool() -> list[Supernode]:
-        pool = []
-        for sid in range(num_supernodes):
-            sn = Supernode(supernode_id=sid, host_player=-1,
-                           capacity=per_node, upload_mbps=30.0,
-                           access_ms=5.0)
-            for offset in range(per_node):
-                sn.connect(sid * per_node + offset)
-            pool.append(sn)
-        return pool
+    def filled_context() -> sweep.SweepContext:
+        table = SessionTable(rows)
+        cols = table.columns
+        cols.active[:] = 1
+        cols.supernode_id[:] = sids
+        cols.end_subcycle[:] = ends
+        for sn in pool:
+            for _ in range(per_node):
+                sn.connect()
+        return sweep.SweepContext(
+            day=0, hours=hours, rng=rng, result=None, measuring=False,
+            loads=None, cloud_rate=None, starts={}, sessions=table)
 
-    # Equivalence before speed: same departures, same end state.
-    scalar_pool, batch_pool = build_pool(), build_pool()
-    for sn, players in zip(scalar_pool, departing):
-        for player in players:
-            sn.disconnect(player)
-    for sn, players in zip(batch_pool, departing):
-        sn.disconnect_many(players)
-    assert all(a.connected == b.connected and a.has_capacity
-               == b.has_capacity
-               for a, b in zip(scalar_pool, batch_pool)), \
-        "disconnect_many diverged from the scalar loop"
+    def measure() -> float:
+        wall = 0.0
+        for _ in range(rounds):
+            ctx = filled_context()
+            t0 = time.perf_counter()
+            for subcycle in range(2, hours + 1):
+                ctx.subcycle = subcycle
+                sweep.stage_departures(state, ctx)
+            wall += time.perf_counter() - t0
+            assert not ctx.sessions.columns.active.any() and all(
+                sn.load == 0 for sn in pool), "departures left a slot taken"
+        return rounds * rows / wall
 
-    pool = build_pool()
-    total = sum(len(players) for players in departing)
-    scalar_times, batch_times = [], []
-    for _ in range(rounds):  # interleaved best-of-N
-        t0 = time.perf_counter()
-        for sn, players in zip(pool, departing):
-            for player in players:
-                sn.disconnect(player)
-        scalar_times.append(time.perf_counter() - t0)
-        for sn, players in zip(pool, departing):
-            for player in players:
-                sn.connect(player)
-        t0 = time.perf_counter()
-        for sn, players in zip(pool, departing):
-            sn.disconnect_many(players)
-        batch_times.append(time.perf_counter() - t0)
-        for sn, players in zip(pool, departing):
-            for player in players:
-                sn.connect(player)
-    scalar_s, batch_s = min(scalar_times), min(batch_times)
-    return {
-        "departures": total,
-        "scalar_departures_per_s": total / scalar_s,
-        "batch_departures_per_s": total / batch_s,
-        "speedup": scalar_s / batch_s,
-    }
+    figures = calibrated_rates(measure, repeats)
+    return {"departures": rows, "rounds": rounds, "repeats": repeats,
+            "departures_per_s": figures.pop("rate_per_s"), **figures}
 
 
 def bench_migrations(num_players: int, num_supernodes: int,
@@ -230,7 +218,7 @@ def bench_migrations(num_players: int, num_supernodes: int,
         for entry in state.candidates.candidates(player):
             sn = state.supernode_pool[entry.supernode_id]
             if sn.online and sn.load * 2 < sn.capacity:
-                sn.connect(player)
+                attach(state, player, sn)
                 state.sticky[player] = sn.supernode_id
                 attached += 1
                 break
@@ -256,9 +244,6 @@ def main(argv=None) -> int:
                         help="CI-sized workload (seconds, not minutes)")
     parser.add_argument("--days", type=int, default=2,
                         help="schedule length for the joins run")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless batched departures beat "
-                             "their scalar reference")
     parser.add_argument("--output", default=None,
                         help="output path (default benchmarks/results/"
                              "BENCH_lifecycle.json)")
@@ -266,7 +251,7 @@ def main(argv=None) -> int:
 
     if args.tiny:
         players, supernodes = 2000, 120
-        depart_nodes, per_node, rounds = 200, 40, 3
+        depart_nodes, per_node, rounds = 200, 40, 20
         fail_count = 24
         repeats = 9
     else:
@@ -280,8 +265,9 @@ def main(argv=None) -> int:
                      "tiny": args.tiny, "cpu_count": os.cpu_count()},
         "joins": bench_joins(players, supernodes, days=args.days, seed=11,
                              repeats=repeats),
-        "departures": bench_departures(depart_nodes, per_node, rounds,
-                                       seed=11),
+        "departures": bench_departures(depart_nodes, per_node, hours=24,
+                                       rounds=rounds, seed=11,
+                                       repeats=repeats),
         "migrations": bench_migrations(players, supernodes, fail_count,
                                        seed=11),
     }
@@ -296,18 +282,13 @@ def main(argv=None) -> int:
     print(f"joins:      {joins['joins_per_s']:,.0f}/s in the arrivals "
           f"stage, {joins['calibrated_rate']:.4f} per calibration "
           f"loop/s ({joins['calibration_per_s']:,.0f}/s)")
-    print(f"departures: {departs['batch_departures_per_s']:,.0f}/s batched "
-          f"vs {departs['scalar_departures_per_s']:,.0f}/s scalar "
-          f"({departs['speedup']:.2f}x)")
+    print(f"departures: {departs['departures_per_s']:,.0f}/s through "
+          f"stage_departures, {departs['calibrated_rate']:.4f} per "
+          f"calibration loop/s")
     print(f"migrations: {migrations['displaced']:,} displaced, "
           f"{migrations['recovered']:,} recovered at "
           f"{migrations['migrations_per_s']:,.0f}/s")
     print(f"wrote {output}")
-
-    if args.check and departs["speedup"] <= 1.0:
-        print("FAIL: disconnect_many is not faster than the scalar loop",
-              file=sys.stderr)
-        return 1
     return 0
 
 

@@ -15,11 +15,13 @@ Two stores live here, with different ownership:
   ``active`` byte when the session leaves service; migration and the
   fault handlers rewrite the serving supernode, kind and latency
   columns in place; scoring and the vectorised sweep stages read them.
+  It is the one record of who is on which supernode (``active &
+  (supernode_id == sid)``); a supernode keeps only the count.
 
 Neither store is checkpointed — :mod:`repro.persist.snapshot` restores
 the mutable supernode state through the entity setters, which refresh
-``available`` as a side effect, and sessions never cross a day
-boundary, so a day's :class:`SessionColumns` dies with its sweep.
+``available`` as a side effect, and every session leaves service when
+its day ends, so no row carries a fact across a day boundary.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ class SupernodeColumns:
 class SessionColumns:
     """Parallel typed arrays over ``player`` id for one sweep day.
 
-    Row ``i`` holds the live session of player ``i`` (``active[i] ==
-    1``) or dead garbage from an earlier one (``active[i] == 0``) —
-    sessions never outlive a day, so every ``sweep_day`` builds a new
-    store.
+    Row ``i`` holds player ``i``'s session, in service while
+    ``active[i] == 1`` — or an ended one, or dead garbage.  Sessions
+    never outlive a day, so every ``sweep_day`` builds a new store.
     """
 
     __slots__ = ("size", "active", "supernode_id", "kind", "latency_ms",
@@ -77,7 +78,7 @@ class SessionColumns:
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
         self.size = size
-        #: 1 while the player's session is live this day.
+        #: 1 while the player's session is in service.
         self.active = np.zeros(size, dtype=np.uint8)
         #: Serving supernode row, or -1 (cloud/CDN/none).
         self.supernode_id = np.full(size, -1, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Core entities: supernodes and player connection state.
+"""Core entities: supernodes and their slot counts.
 
 §3.1.1's supernode requirements (reliable, stable, superior network
 connection, pre-installed game client) become fields and invariants
@@ -9,14 +9,13 @@ state on the entity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .columns import SupernodeColumns
 
-__all__ = ["Supernode", "ConnectionKind", "PlayerConnection"]
+__all__ = ["Supernode", "ConnectionKind"]
 
 
 class ConnectionKind(Enum):
@@ -36,26 +35,29 @@ class Supernode:
     are equal only if they are the same deployment — membership checks
     in live sets must not compare mutable connection state).
 
+    It counts its taken slots in ``load``; who holds them is recorded
+    only in the day's :class:`~repro.core.state.SessionTable`, whose
+    writers call :meth:`connect` and :meth:`release`.
+
     A pool supernode is *bound* to a shared
     :class:`~repro.core.columns.SupernodeColumns` store
     (:meth:`bind_columns`): its coordinates are mirrored into the
     dense arrays once, and every mutation that can change slot
-    availability (connect/disconnect/fail, ``online``/``connected``
-    writes) refreshes the store's ``available`` byte so batch readers
-    never chase per-object properties.  A standalone supernode (tests,
-    ad-hoc construction) simply has no store.
+    availability (connect/release/fail, ``online`` writes) refreshes
+    the store's ``available`` byte so batch readers never chase
+    per-object properties.  A standalone supernode (tests, ad-hoc
+    construction) simply has no store.
     """
 
     __slots__ = ("supernode_id", "host_player", "capacity", "upload_mbps",
                  "access_ms", "x_km", "y_km", "throttle", "throttle_class",
-                 "_connected", "supported_total", "_online", "gpu_tier",
+                 "load", "supported_total", "_online", "gpu_tier",
                  "_cols")
 
     def __init__(self, supernode_id: int, host_player: int, capacity: int,
                  upload_mbps: float, access_ms: float, x_km: float = 0.0,
                  y_km: float = 0.0, throttle: float = 1.0,
                  throttle_class: float = 1.0,
-                 connected: set[int] | None = None,
                  supported_total: int = 0, online: bool = True,
                  gpu_tier: object | None = None) -> None:
         if capacity < 1:
@@ -84,7 +86,8 @@ class Supernode:
         self.throttle = throttle
         #: Designated misbehaviour class: 1.0, 0.8 or 0.5 (§4.1).
         self.throttle_class = throttle_class
-        self._connected = set() if connected is None else set(connected)
+        #: Taken player slots (written by connect/release/fail only).
+        self.load = 0
         #: Lifetime count of players supported (provisioning, §3.5).
         self.supported_total = supported_total
         self._online = online
@@ -119,8 +122,7 @@ class Supernode:
         cols = self._cols
         if cols is not None:
             cols.available[self.supernode_id] = (
-                1 if self._online and len(self._connected) < self.capacity
-                else 0)
+                1 if self._online and self.load < self.capacity else 0)
 
     # -- mutable state behind availability -----------------------------------
     @property
@@ -130,16 +132,6 @@ class Supernode:
     @online.setter
     def online(self, value: bool) -> None:
         self._online = value
-        self._refresh_available()
-
-    @property
-    def connected(self) -> set[int]:
-        """Players currently connected."""
-        return self._connected
-
-    @connected.setter
-    def connected(self, players: set[int]) -> None:
-        self._connected = players
         self._refresh_available()
 
     # -- capacity ------------------------------------------------------------
@@ -156,12 +148,8 @@ class Supernode:
         return self.capacity
 
     @property
-    def load(self) -> int:
-        return len(self._connected)
-
-    @property
     def has_capacity(self) -> bool:
-        return self._online and len(self._connected) < self.capacity
+        return self._online and self.load < self.capacity
 
     def utilization(self, stream_rate_mbps: float) -> float:
         """Upload utilisation given the mean per-player stream rate."""
@@ -175,42 +163,33 @@ class Supernode:
         effective_upload = self.upload_mbps * self.throttle
         return effective_upload / max(1, self.load)
 
-    # -- connection management -----------------------------------------------
-    def connect(self, player: int) -> None:
+    # -- slot accounting -----------------------------------------------------
+    def connect(self) -> None:
+        """Take one slot for a joining player."""
         if not self._online:
             raise RuntimeError(f"supernode {self.supernode_id} is offline")
-        if not self.has_capacity:
+        if self.load >= self.capacity:
             raise RuntimeError(
                 f"supernode {self.supernode_id} is at capacity "
                 f"({self.load}/{self.effective_capacity})")
-        if player in self._connected:
-            raise ValueError(f"player {player} is already connected")
-        self._connected.add(player)
+        self.load += 1
         self.supported_total += 1
         self._refresh_available()
 
-    def disconnect(self, player: int) -> None:
-        self._connected.discard(player)
+    def release(self, count: int = 1) -> None:
+        """Free ``count`` slots of players that left."""
+        if not 0 <= count <= self.load:
+            raise ValueError(
+                f"supernode {self.supernode_id} cannot release {count} "
+                f"of its {self.load} taken slots")
+        self.load -= count
         self._refresh_available()
 
-    def disconnect_many(self, players) -> None:
-        """Disconnect a batch at once: one availability refresh.
-
-        Equivalent to ``disconnect`` per player — set discard is
-        order-independent and the availability byte depends only on
-        the final load — so the vectorised departure stage stays
-        bit-identical to the scalar loop it replaced.
-        """
-        self._connected.difference_update(players)
-        self._refresh_available()
-
-    def fail(self) -> set[int]:
-        """Take the supernode offline; return the orphaned players."""
+    def fail(self) -> None:
+        """Take the supernode offline; every slot is freed with it."""
         self._online = False
-        orphans = set(self._connected)
-        self._connected.clear()
+        self.load = 0
         self._refresh_available()
-        return orphans
 
     def roll_throttle(self, rng: np.random.Generator,
                       probability: float) -> None:
@@ -223,17 +202,3 @@ class Supernode:
             throttles = rng.random() < probability
             self.throttle = self.throttle_class if throttles else 1.0
 
-
-@dataclass
-class PlayerConnection:
-    """A player's current video source."""
-
-    player: int
-    kind: ConnectionKind
-    #: Supernode id (SUPERNODE), datacenter index (CLOUD) or CDN site (CDN).
-    target: int
-    downstream_one_way_ms: float
-
-    def __post_init__(self) -> None:
-        if self.downstream_one_way_ms < 0:
-            raise ValueError("latency must be non-negative")

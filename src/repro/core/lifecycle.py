@@ -25,9 +25,8 @@ from .entities import ConnectionKind, Supernode
 from .selection import delay_threshold_ms, select_supernode
 from .state import Session, SimState, cloud_one_way_ms, player_supernode_ms
 
-__all__ = ["MigrationOutcome", "join", "join_cdn",
-           "migrate", "ordered_orphans",
-           "take_offline", "bring_online", "admit_join",
+__all__ = ["MigrationOutcome", "join", "join_cdn", "attach",
+           "migrate", "take_offline", "bring_online", "admit_join",
            "fog_availability", "fail_supernodes"]
 
 _log = obs.get_logger(__name__)
@@ -102,7 +101,7 @@ def _join_inner(state: SimState, plan: PlayerDayPlan,
         if sn.online and sn.has_capacity:
             delay = player_supernode_ms(state, player, sn)
             if delay <= l_max:
-                sn.connect(player)
+                sn.connect()
                 return Session(plan, ConnectionKind.SUPERNODE, sticky_id,
                                delay, upstream, None)
 
@@ -142,42 +141,54 @@ def join_cdn(state: SimState, plan: PlayerDayPlan, game: Game) -> Session:
                    None)
 
 
+def attach(state: SimState, player: int, sn: Supernode) -> None:
+    """Put ``player`` on ``sn`` outside a sweep: a live whole-day row
+    in ``state.sessions`` and a slot, both or neither.
+
+    The one out-of-band attach path (Fig. 9's migration probe, the
+    lifecycle benchmark, tests): :func:`fail_supernodes` finds the
+    player, and the next ``sweep_day`` frees the slot.
+    """
+    hours = state.config.schedule.hours_per_day
+    session = Session(PlayerDayPlan(player, 1, float(hours)),
+                      ConnectionKind.SUPERNODE, sn.supernode_id,
+                      player_supernode_ms(state, player, sn),
+                      cloud_one_way_ms(state, player), None)
+    sn.connect()
+    try:
+        state.sessions.add(session, 1, hours)
+    except ValueError:
+        sn.release()
+        raise
+
+
 # ----------------------------------------------------------------------
 # failures / migration
 # ----------------------------------------------------------------------
-def ordered_orphans(orphan_sets: list[tuple[Supernode, set[int]]]
-                    ) -> list[tuple[Supernode, int]]:
-    """One deterministic re-home ordering for a whole fault event.
-
-    Flattens :func:`take_offline`'s per-supernode orphan sets into a
-    single concatenated ``(supernode, player)`` sequence: each set
-    sorted once through numpy, sets kept in their pool order.  The
-    iteration order is exactly the nested ``for sn, orphans …: for
-    player in sorted(orphans)`` loop it replaces, so the existing
-    golden digests pin it bit-identically.  ``tolist()`` hands back
-    Python ints — dict keys and JSON event payloads never see numpy
-    scalars.
-    """
-    ordered: list[tuple[Supernode, int]] = []
-    for sn, orphans in orphan_sets:
-        if not orphans:
-            continue
-        players = np.sort(np.fromiter(
-            orphans, dtype=np.int64, count=len(orphans))).tolist()
-        ordered.extend((sn, player) for player in players)
-    return ordered
-
-
 def take_offline(state: SimState, failed: list[Supernode]
-                 ) -> list[tuple[Supernode, set[int]]]:
+                 ) -> list[tuple[Supernode, int]]:
     """Remove supernodes from service; return their orphaned players.
 
-    Shared by the out-of-band :func:`fail_supernodes` entry point
-    and in-run crash injection: directory, ``live_ids``, candidate
-    caches and the availability gauge all stay mutually consistent.
+    The orphans are the live ``state.sessions`` rows on a failed
+    supernode, read in one pass, as ``(supernode, player)`` pairs in a
+    fault event's one re-home order: supernodes in ``failed`` order,
+    players ascending within each.  Shared by the out-of-band
+    :func:`fail_supernodes` entry point and in-run crash injection:
+    directory, ``live_ids``, candidate caches and the availability
+    gauge all stay mutually consistent.
     """
-    failed_ids = {sn.supernode_id for sn in failed}
-    orphan_sets = [(sn, sn.fail()) for sn in failed]
+    rank = {sn.supernode_id: i for i, sn in enumerate(failed)}
+    cols = state.sessions.columns
+    players = np.flatnonzero((cols.active == 1)
+                             & np.isin(cols.supernode_id, list(rank)))
+    pool = state.supernode_pool
+    # Rows are indexed by player; the stable sort keeps them ascending.
+    orphans = sorted(((pool[sid], player) for sid, player in zip(
+        cols.supernode_id[players].tolist(), players.tolist())),
+        key=lambda orphan: rank[orphan[0].supernode_id])
+    for sn in failed:
+        sn.fail()
+    failed_ids = set(rank)
     state.live_supernodes = [sn for sn in state.live_supernodes
                              if sn.supernode_id not in failed_ids]
     state.live_ids -= failed_ids
@@ -189,7 +200,7 @@ def take_offline(state: SimState, failed: list[Supernode]
         len(state.live_supernodes))
     registry.gauge("repro_fog_availability_ratio").set(
         fog_availability(state))
-    return orphan_sets
+    return orphans
 
 
 def bring_online(state: SimState, supernodes: list[Supernode]) -> None:
@@ -263,11 +274,10 @@ def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
     :class:`~repro.faults.plan.FaultPlan` injects mid-sweep instead).
     Returns the end-to-end migration latency — failure detection
     plus the reconnect ladder — of every player that re-attached to
-    a supernode.  Players with no qualified candidate are *not*
-    silently folded into that list: they degrade to direct cloud
-    streaming conceptually, but with no live session to re-home
-    here they are recorded as dropped and their sticky/game state
-    cleared.  All accounting lands in ``state.fault_outcomes``.
+    a supernode, and rewrites its ``state.sessions`` row.  Players
+    with no qualified candidate are *not* silently folded into that
+    list: they are recorded as dropped, their row leaves the table
+    and their sticky/game state is cleared.  All accounting lands in ``state.fault_outcomes``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -277,7 +287,7 @@ def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
     picks = rng.choice(len(state.live_supernodes), size=count,
                        replace=False)
     failed = [state.live_supernodes[int(i)] for i in picks]
-    orphan_sets = take_offline(state, failed)
+    orphans = take_offline(state, failed)
     registry = obs.get_registry()
     latencies: list[float] = []
     summary = state.fault_outcomes
@@ -287,7 +297,7 @@ def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
     # Out-of-band callers have no notion of heartbeat phase, so the
     # detector contributes its expectation (500 ms at defaults).
     detection = state.failure_detector.detection_latency_ms()
-    for sn, player in ordered_orphans(orphan_sets):
+    for sn, player in orphans:
         state.sticky.pop(player, None)
         state.reputation.penalize(player, sn.supernode_id,
                                   today=today)
@@ -302,6 +312,9 @@ def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
         if retries:
             registry.counter("repro_fault_retries_total").inc(retries)
         if outcome.supernode_id is not None:
+            new_sn = state.supernode_pool[outcome.supernode_id]
+            state.sessions.rehome(player, new_sn.supernode_id,
+                                  player_supernode_ms(state, player, new_sn))
             latency = detection + outcome.latency_ms
             latencies.append(latency)
             summary.recovered += 1
@@ -313,6 +326,7 @@ def fail_supernodes(state: SimState, count: int, rng: np.random.Generator,
                 buckets=DEFAULT_RECOVERY_BUCKETS_MS).observe(latency)
         else:
             summary.dropped += 1
+            state.sessions.pop(player)
             state.games.pop(player, None)
             registry.counter("repro_fault_dropped_total").inc()
     _log.info("supernode failures handled", extra=obs.kv(
@@ -355,7 +369,7 @@ def migrate(state: SimState, player: int, l_max: float,
         if (state.supernode_columns.available[entry.supernode_id]
                 and entry.delay_ms <= l_max):
             candidate = state.supernode_pool[entry.supernode_id]
-            candidate.connect(player)
+            candidate.connect()
             state.sticky[player] = candidate.supernode_id
             # Probe RTT + connect handshake, no cloud involvement.
             return MigrationOutcome(
@@ -389,7 +403,7 @@ def migrate(state: SimState, player: int, l_max: float,
                     and rng.random() < transient_refusal):
                 # Handshake timed out mid-churn: release the slot,
                 # remember the refusal, back off and retry.
-                state.supernode_pool[sid].disconnect(player)
+                state.supernode_pool[sid].release()
                 refused.add(sid)
                 continue
             state.sticky[player] = sid

@@ -348,7 +348,7 @@ def select_supernode(
     # between the cloud's answer and now.
     for supernode, delay in ordered:
         if supernode.has_capacity:
-            supernode.connect(player)
+            supernode.connect()
             join_latency += handshake_ms + delay
             return SelectionOutcome(supernode.supernode_id, delay,
                                     join_latency, len(candidates),

@@ -78,13 +78,15 @@ class Session(NamedTuple):
 
 
 class SessionTable:
-    """The day's live sessions: one :class:`SessionColumns` row each.
+    """The day's sessions: one :class:`SessionColumns` row each.
 
-    The only home of a live session's facts — serving supernode, kind,
+    The only home of a session's facts — serving supernode, kind,
     one-way latencies, play window and join latency are columns, read
-    and written in place.  Membership is the insertion-ordered index
-    (iteration, and with it scoring order) plus the ``active`` byte;
-    only :meth:`add` and :meth:`pop` write either.
+    and written in place — so ``active & (supernode_id == sid)`` are
+    exactly the players on supernode ``sid``.  Membership is the
+    insertion-ordered index (iteration, and with it scoring order);
+    ``active`` marks the rows in service, and clears when a fog
+    session's window ends while its row stays a member for scoring.
     """
 
     __slots__ = ("columns", "_order")
@@ -100,6 +102,8 @@ class SessionTable:
         """
         row = session.plan.player
         cols = self.columns
+        if cols.active[row]:
+            raise ValueError(f"player {row} is already connected")
         self._order[row] = None
         cols.active[row] = 1
         cols.supernode_id[row] = (-1 if session.supernode_id is None
@@ -117,6 +121,12 @@ class SessionTable:
         if player in self._order:
             del self._order[player]
             self.columns.active[player] = 0
+
+    def rehome(self, player: int, supernode_id: int,
+               latency_ms: float) -> None:
+        """``player``'s session moved to another supernode."""
+        self.columns.supernode_id[player] = supernode_id
+        self.columns.latency_ms[player] = latency_ms
 
     def fall_back_to_cloud(self, player: int) -> None:
         """The cloud streams ``player`` directly from now on."""
@@ -245,6 +255,9 @@ class SimState:
         self.candidates = CandidateManager(
             max_entries=config.candidate_count)
         self.sticky: dict[int, int] = {}
+        #: The day's sessions: who holds which supernode slot.  Between
+        #: days, no row is live unless an out-of-band caller wrote one.
+        self.sessions = SessionTable(self.topology.num_players)
         self.games: dict[int, Game] = {}
         self.duration_mixture = DurationMixture()
         self.start_times = StartTimeModel()

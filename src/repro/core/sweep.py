@@ -135,7 +135,7 @@ class SweepContext:
     loads: SweepLoads
     cloud_rate: np.ndarray
     starts: dict[int, list[PlayerDayPlan]]
-    #: The day's live sessions, one ``sessions.columns`` row each.
+    #: The day's sessions (``SimState.sessions``), one row each.
     sessions: SessionTable
     fault_rng: np.random.Generator | None = None
     #: Admission-control policy (duck-typed AdmissionPolicy) and the
@@ -146,33 +146,35 @@ class SweepContext:
     subcycle: int = 0
 
 
-def _grouped_disconnect(state: SimState, players: np.ndarray,
-                        sids: np.ndarray) -> None:
-    """One ``disconnect_many`` per distinct supernode.
+def _release(state: SimState, cols, rows: np.ndarray) -> None:
+    """End the fog sessions in ``rows`` (a mask): clear their ``active``
+    bytes and free their slots, one release per distinct supernode."""
+    cols.active[rows] = 0
+    sids, counts = np.unique(cols.supernode_id[rows], return_counts=True)
+    for sid, count in zip(sids.tolist(), counts.tolist()):
+        state.supernode_pool[sid].release(count)
 
-    Bit-identical to per-player ``disconnect`` calls: set discard is
-    order-independent and the availability byte depends only on the
-    final load, so grouping changes nothing observable.
-    """
-    pool = state.supernode_pool
-    for sid in np.unique(sids).tolist():
-        pool[sid].disconnect_many(players[sids == sid].tolist())
+
+def _end_sessions(state: SimState, table: SessionTable) -> None:
+    """Every row of ``table`` leaves service (cycles do not wrap, §4.1)."""
+    cols = table.columns
+    _release(state, cols, (cols.active == 1) & (cols.supernode_id >= 0))
+    cols.active[:] = 0
 
 
 def stage_departures(state: SimState, ctx: SweepContext) -> None:
-    """Disconnect every session whose play window ended this subcycle.
+    """Release every fog session whose play window ended last subcycle.
 
     Vectorised over :class:`~repro.core.columns.SessionColumns`: the
     mask ``active & end_subcycle == subcycle-1 & supernode_id >= 0``
     selects the fog sessions that ended — a popped (shed) session has
     ``active == 0`` and a cloud/queued one ``supernode_id == -1``.
+    A cloud session holds no slot and stays ``active`` until day end.
     """
     cols = ctx.sessions.columns
-    ended = np.flatnonzero((cols.active == 1)
-                           & (cols.end_subcycle == ctx.subcycle - 1)
-                           & (cols.supernode_id >= 0))
-    if ended.size:
-        _grouped_disconnect(state, ended, cols.supernode_id[ended])
+    _release(state, cols, (cols.active == 1)
+             & (cols.end_subcycle == ctx.subcycle - 1)
+             & (cols.supernode_id >= 0))
 
 
 def stage_faults(state: SimState, ctx: SweepContext) -> None:
@@ -337,11 +339,15 @@ def sweep_day(state: SimState, plans, rng, result, measuring, day=0):
     for plan in plans:
         starts.setdefault(min(plan.start_subcycle, hours), []).append(plan)
 
+    # Free the slots an out-of-band attach or re-home left live since
+    # the last day ended, then start the day's fresh table.
+    _end_sessions(state, state.sessions)
+    state.sessions = SessionTable(state.topology.num_players)
     ctx = SweepContext(
         day=day, hours=hours, rng=rng, result=result, measuring=measuring,
         loads=SweepLoads.for_supernodes(state.live_supernodes, hours),
         cloud_rate=np.zeros(hours + 2), starts=starts,
-        sessions=SessionTable(state.topology.num_players))
+        sessions=state.sessions)
 
     if state.faults.active:
         state.faults.start_day(day)
@@ -359,11 +365,7 @@ def sweep_day(state: SimState, plans, rng, result, measuring, day=0):
         # Shed whatever a still-open partition window left queued, so
         # the conservation invariant holds at every day boundary.
         handlers.finish_day(state, ctx)
-    # Disconnect everything at day end (cycles do not wrap, §4.1).
-    cols = ctx.sessions.columns
-    live = np.flatnonzero((cols.active == 1) & (cols.supernode_id >= 0))
-    if live.size:
-        _grouped_disconnect(state, live, cols.supernode_id[live])
+    _end_sessions(state, ctx.sessions)
     return ctx.sessions, ctx.loads, ctx.cloud_rate
 
 

@@ -14,6 +14,7 @@ from .. import obs
 from ..core.config import cloudfog_basic
 from ..core import sweep
 from ..core.accounting import RunResult
+from ..core.lifecycle import attach
 from ..core.system import CloudFogSystem
 from ..economics.incentives import IncentiveModel, daily_economics
 from ..economics.provider import renting_comparison
@@ -277,16 +278,14 @@ def _measure_migrations(system: CloudFogSystem, seed: int) -> list[float]:
     plans = sweep.sample_plans(state, rng)
     sweep.choose_games(state, plans, rng)
     sweep.sweep_day(state, plans, rng, RunResult(), measuring=False)
-    # The sweep disconnects everything at day end; re-attach one player
+    # The sweep ends every session at day end; re-attach one player
     # per supernode so every failure displaces someone.
     next_player = 0
     for sn in system.live_supernodes:
         if sn.has_capacity:
-            while next_player in sn.connected:
-                next_player += 1
             if next_player >= system.topology.num_players:
                 break
-            sn.connect(next_player)
+            attach(state, next_player, sn)
             next_player += 1
     count = max(1, len(system.live_supernodes) // 10)
     return system.fail_supernodes(count, rng)

@@ -33,8 +33,7 @@ import numpy as np
 from .. import obs
 from ..core.columns import KIND_CLOUD
 from ..core.entities import Supernode
-from ..core.lifecycle import (bring_online, migrate, ordered_orphans,
-                              take_offline)
+from ..core.lifecycle import bring_online, migrate, take_offline
 from ..core.provisioning import choose_replacements
 from ..core.selection import delay_threshold_ms
 from ..core.state import SimState, player_supernode_ms
@@ -120,24 +119,22 @@ def inject_crash(state: SimState, event, day, subcycle, sessions, loads,
 
     Every displaced session is accounted exactly once per
     displacement: recovered onto another supernode, degraded to
-    direct cloud streaming, shed when a fog↔cloud partition outlives
-    it, or (when its bookkeeping is gone) dropped — the conservation
-    invariant the chaos tests assert.  Load matrices move with the
-    session: the crashed row keeps the already-served span and loses
-    the remainder, which lands on the new row or the cloud's rate
-    line.
+    direct cloud streaming, or shed when a fog↔cloud partition
+    outlives it — the conservation invariant the chaos tests assert.
+    Load matrices move with the session: the crashed row keeps the
+    already-served span and loses the remainder, which lands on the
+    new row or the cloud's rate line.
     """
     targets = fault_targets(state, event, frng)
     if not targets:
         return
-    orphan_sets = take_offline(state, targets)
-    state.faults.failed_ids.update(sn.supernode_id
-                                   for sn, _ in orphan_sets)
-    _rehome_orphans(state, orphan_sets, day, subcycle, sessions, loads,
+    orphans = take_offline(state, targets)
+    state.faults.failed_ids.update(sn.supernode_id for sn in targets)
+    _rehome_orphans(state, orphans, day, subcycle, sessions, loads,
                     cloud_rate, frng, result, measuring)
 
 
-def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
+def _rehome_orphans(state: SimState, orphans, day, subcycle, sessions,
                     loads, cloud_rate, frng, result, measuring, *,
                     graceful: bool = False) -> None:
     """Walk every orphaned session down the §3.2.2 recovery ladder.
@@ -150,7 +147,8 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
     severed link — and resolve when the window closes
     (:func:`_drain_partition_queue`) or at day end (:func:`finish_day`).
     Re-homing rewrites the session's ``supernode_id``/``latency_ms``
-    columns; both cloud fallbacks go through
+    columns (:meth:`~repro.core.state.SessionTable.rehome`); both
+    cloud fallbacks go through
     :meth:`~repro.core.state.SessionTable.fall_back_to_cloud`.
     """
     registry = obs.get_registry()
@@ -162,21 +160,11 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
     summary = result.faults
     partitioned = injector.partition_active(subcycle)
     cols = sessions.columns
-    for sn, player in ordered_orphans(orphan_sets):
+    for sn, player in orphans:
         state.sticky.pop(player, None)
         state.reputation.penalize(player, sn.supernode_id, today=day)
         summary.displaced += 1
         registry.counter("repro_fault_displaced_total").inc()
-        if (player not in sessions
-                or cols.supernode_id[player] != sn.supernode_id):
-            # No live session bookkeeping to re-home (connected
-            # out of band): account it as dropped, not lost.
-            summary.dropped += 1
-            registry.counter("repro_fault_dropped_total").inc()
-            event_log.emit("session_dropped", day=day,
-                           subcycle=subcycle, player=player,
-                           supernode_id=sn.supernode_id)
-            continue
         game = state.games[player]
         end = int(cols.end_subcycle[player])
         span = slice(subcycle, end + 1)
@@ -207,10 +195,10 @@ def _rehome_orphans(state: SimState, orphan_sets, day, subcycle, sessions,
             if new_row is not None:
                 counts[new_row, span] += 1
                 rates[new_row, span] += game.stream_rate_mbps
-            new_sn = state.supernode_pool[outcome.supernode_id]
-            cols.supernode_id[player] = outcome.supernode_id
-            cols.latency_ms[player] = player_supernode_ms(state, player,
-                                                          new_sn)
+            sessions.rehome(player, outcome.supernode_id,
+                            player_supernode_ms(
+                                state, player,
+                                state.supernode_pool[outcome.supernode_id]))
             summary.recovered += 1
             summary.time_to_recover_ms.append(ttr)
             if measuring:
@@ -274,15 +262,15 @@ def _fail_domain(state: SimState, targets, event, day, subcycle, sessions,
     if not targets:
         return
     injector = state.faults
-    orphan_sets = take_offline(state, targets)
-    injector.failed_ids.update(sn.supernode_id for sn, _ in orphan_sets)
+    orphans = take_offline(state, targets)
+    injector.failed_ids.update(sn.supernode_id for sn in targets)
     obs.get_registry().counter("repro_domain_outages_total",
                                kind=event.kind).inc()
     obs.get_events().emit("domain_outage", day=day, subcycle=subcycle,
                           fault_kind=event.kind, lost=len(targets),
                           datacenter=event.datacenter,
                           graceful=graceful)
-    _rehome_orphans(state, orphan_sets, day, subcycle, sessions, loads,
+    _rehome_orphans(state, orphans, day, subcycle, sessions, loads,
                     cloud_rate, frng, result, measuring, graceful=graceful)
     healing = injector.plan.healing
     if healing is not None:

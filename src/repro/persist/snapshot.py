@@ -14,7 +14,8 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
 
 2. **Everything else that crosses a day boundary is enumerated here.**
    Captured: the supernode pool's mutable fields (throttle/online/
-   supported_total/connected), the *ordered* live list (fault targeting
+   supported_total; ``connected``, derived from the session rows, is
+   always empty at a day boundary), the *ordered* live list (fault targeting
    indexes into it; ``SweepLoads`` rows follow its order), sticky
    assignments, per-player candidate lists, the rating ledger, the
    reputation score cache (it cannot be recomputed — scores age by
@@ -34,10 +35,10 @@ Bit-identical resume rests on two audited facts (DESIGN.md §11):
 
    Deliberately *not* captured, with reasons:
 
-   * per-day session state — the :class:`~repro.core.state.
-     SessionTable` and its :class:`~repro.core.columns.SessionColumns`
-     live inside one ``sweep_day`` call and never cross a day
-     boundary (§4.1: cycles do not wrap);
+   * ``SimState.sessions`` — every row leaves service when its day
+     ends (§4.1: cycles do not wrap) and the next ``sweep_day``
+     starts a fresh table, so at a day boundary it holds nothing to
+     resume; restore refuses a non-empty ``connected`` list;
 
    * population/topology/transport/datacenter structure/CDN sites —
      rebuilt deterministically from the serialized ``SystemConfig``;
@@ -151,6 +152,13 @@ def capture_state(state: SimState) -> dict:
             "residuals": list(model._residuals),
             "last_forecast": model._last_forecast,
         }
+    # One pass over the live fog rows; indexed by player, so sorted.
+    cols = state.sessions.columns
+    rows = np.flatnonzero((cols.active == 1) & (cols.supernode_id >= 0))
+    connected: list[list[int]] = [[] for _ in state.supernode_pool]
+    for sid, player in zip(cols.supernode_id[rows].tolist(),
+                           rows.tolist()):
+        connected[sid].append(player)
     return {
         "config": config_to_dict(state.config),
         "seed": state.rng_factory.seed,
@@ -160,8 +168,8 @@ def capture_state(state: SimState) -> dict:
             {"id": sn.supernode_id, "online": sn.online,
              "throttle": sn.throttle,
              "supported_total": sn.supported_total,
-             "connected": sorted(sn.connected)}
-            for sn in state.supernode_pool],
+             "connected": players}
+            for sn, players in zip(state.supernode_pool, connected)],
         # Ordered: fault targeting draws indices into this list and
         # SweepLoads rows follow its order, so a set would not do.
         "live_ids": [sn.supernode_id for sn in state.live_supernodes],
@@ -259,11 +267,15 @@ def overlay_state(state: SimState, payload: dict) -> SimState:
     state.supernode_join_latencies_ms = list(
         payload["supernode_join_latencies_ms"])
     for record in payload["supernodes"]:
+        if record["connected"]:
+            raise ValueError(
+                f"supernode {record['id']} has connected players "
+                f"{record['connected']}, but a snapshot carries no "
+                f"session rows to restore them into")
         sn = state.supernode_pool[record["id"]]
         sn.online = record["online"]
         sn.throttle = record["throttle"]
         sn.supported_total = record["supported_total"]
-        sn.connected = set(record["connected"])
 
     state.sticky = {player: sn for player, sn in payload["sticky"]}
     state.candidates._lists = {

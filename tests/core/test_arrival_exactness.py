@@ -239,7 +239,7 @@ def _grid_directory(data, players: int, pool: int):
                        x_km=float(x), y_km=float(y))
         sn.bind_columns(cols)
         if data.draw(st.booleans(), label="preloaded"):
-            sn.connect(500 + sid)
+            sn.connect()
         supernodes.append(sn)
     listed = data.draw(st.permutations(supernodes), label="directory")
     listed = listed[:data.draw(st.integers(1, pool), label="listed")]
@@ -263,10 +263,10 @@ def test_property_lookups_match_the_scan_on_a_tie_heavy_grid(data):
         action = data.draw(st.sampled_from(("join", "leave", "fail")),
                            label="action")
         if action == "join" and candidates:
-            candidates[0].connect(1_000 + step)
+            candidates[0].connect()
         elif action == "leave":
             sn = data.draw(st.sampled_from(supernodes), label="left")
-            sn.disconnect_many(list(sn.connected))
+            sn.release(sn.load)
         elif action == "fail":
             data.draw(st.sampled_from(supernodes), label="failed").fail()
 
@@ -289,7 +289,7 @@ def test_tie_just_past_the_prefix_takes_the_scan():
                        y_km=float(y))
         sn.bind_columns(cols)
         if sid < len(near):
-            sn.connect(100 + sid)
+            sn.connect()
         supernodes.append(sn)
     directory = SupernodeDirectory(topology, supernodes[::-1])
     candidates = directory.candidates_for(0, 1)

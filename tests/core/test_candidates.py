@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.candidates import CandidateEntry, CandidateManager
-from repro.core.lifecycle import migrate
+from repro.core.lifecycle import attach, migrate
 
 
 def test_entry_validation():
@@ -96,17 +96,17 @@ def test_migration_prefers_own_list_over_cloud():
     live = [sn for sn in system.live_supernodes if sn.has_capacity]
     assert len(live) >= 2
     a, b = live[0], live[1]
-    a.connect(0)
+    attach(system.state, 0, a)
     system.candidates.remember(0, [(b.supernode_id, 12.0)])
     system.state.games[0] = __import__(
         "repro.workload.games", fromlist=["game_for_level"]).game_for_level(5)
     # Fail only supernode A.
     system.live_supernodes = [sn for sn in system.live_supernodes
                               if sn is not a]
-    orphans = a.fail()
+    a.fail()
     system.directory.rebuild(system.live_supernodes)
     outcome = migrate(system.state, 0, l_max=98.0, rng=rng)
-    assert 0 in b.connected
+    assert b.load == 1
     assert outcome.via == "candidates"
     assert outcome.supernode_id == b.supernode_id
     assert outcome.attempts == 0  # no selection round, no backoff

@@ -1,9 +1,9 @@
-"""Tests for supernode and connection entities."""
+"""Tests for the supernode entity and its slot count."""
 
 import numpy as np
 import pytest
 
-from repro.core.entities import ConnectionKind, PlayerConnection, Supernode
+from repro.core.entities import Supernode
 
 
 def make_supernode(**kwargs):
@@ -26,27 +26,34 @@ def test_validation():
 
 def test_connect_up_to_capacity():
     sn = make_supernode(capacity=2)
-    sn.connect(10)
-    sn.connect(11)
+    sn.connect()
+    sn.connect()
     assert sn.load == 2
     assert not sn.has_capacity
     with pytest.raises(RuntimeError):
-        sn.connect(12)
-
-
-def test_duplicate_connect_rejected():
-    sn = make_supernode()
-    sn.connect(10)
-    with pytest.raises(ValueError):
-        sn.connect(10)
+        sn.connect()
 
 
 def test_connect_counts_supported_total():
     sn = make_supernode()
-    sn.connect(1)
-    sn.disconnect(1)
-    sn.connect(1)
+    sn.connect()
+    sn.release()
+    sn.connect()
     assert sn.supported_total == 2
+    assert sn.load == 1
+
+
+def test_release_frees_slots_and_rejects_more_than_taken():
+    sn = make_supernode(capacity=3)
+    for _ in range(3):
+        sn.connect()
+    sn.release(2)
+    assert sn.load == 1 and sn.has_capacity
+    with pytest.raises(ValueError, match="supernode 0 cannot release 2"):
+        sn.release(2)
+    with pytest.raises(ValueError):
+        sn.release(-1)
+    assert sn.load == 1
 
 
 def test_throttling_keeps_advertised_capacity():
@@ -59,8 +66,8 @@ def test_throttling_keeps_advertised_capacity():
 
 def test_utilization_and_share():
     sn = make_supernode(capacity=10, upload_mbps=10.0)
-    sn.connect(1)
-    sn.connect(2)
+    sn.connect()
+    sn.connect()
     assert sn.utilization(1.0) == pytest.approx(0.2)
     assert sn.upload_share_mbps() == pytest.approx(5.0)
     sn.throttle = 0.5
@@ -69,17 +76,16 @@ def test_utilization_and_share():
         sn.utilization(-1.0)
 
 
-def test_fail_returns_orphans_and_goes_offline():
+def test_fail_frees_every_slot_and_goes_offline():
     sn = make_supernode()
-    sn.connect(1)
-    sn.connect(2)
-    orphans = sn.fail()
-    assert orphans == {1, 2}
+    sn.connect()
+    sn.connect()
+    sn.fail()
     assert not sn.online
     assert sn.load == 0
     assert not sn.has_capacity
     with pytest.raises(RuntimeError):
-        sn.connect(3)
+        sn.connect()
 
 
 def test_roll_throttle_honest_class_never_throttles():
@@ -115,9 +121,3 @@ def test_supernode_identity_semantics():
     assert a != b  # eq=False: distinct deployments are never equal
     assert a == a
 
-
-def test_player_connection_validation():
-    conn = PlayerConnection(1, ConnectionKind.SUPERNODE, 3, 12.0)
-    assert conn.kind is ConnectionKind.SUPERNODE
-    with pytest.raises(ValueError):
-        PlayerConnection(1, ConnectionKind.CLOUD, 0, -1.0)

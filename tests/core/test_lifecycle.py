@@ -7,6 +7,7 @@ import pytest
 from repro.core import CloudFogSystem, ConnectionKind, cloud_only, cloudfog_basic, sweep
 from repro.core.accounting import RunResult
 from repro.core.lifecycle import (
+    attach,
     fail_supernodes,
     fog_availability,
     join,
@@ -38,12 +39,34 @@ def test_take_offline_updates_directory_and_availability():
     state = SimState(cloudfog_basic(**SMALL))
     live_before = len(state.live_supernodes)
     victim = state.live_supernodes[0]
-    orphans = take_offline(state, [victim])
-    assert orphans[0][0] is victim
+    assert take_offline(state, [victim]) == []  # nobody was on it
+    assert not victim.online and victim.load == 0
     assert len(state.live_supernodes) == live_before - 1
     assert victim.supernode_id not in state.live_ids
     assert fog_availability(state) == pytest.approx(
         (live_before - 1) / state.deployed_count)
+
+
+def test_take_offline_orders_orphans_by_failed_then_player():
+    """The orphans of one fault event: supernodes in ``failed`` order,
+    players ascending within each, whatever order they attached in."""
+    state = SimState(cloudfog_basic(**SMALL))
+    a, b, c = [sn for sn in state.live_supernodes if sn.capacity >= 3][:3]
+    for player, sn in ((9, a), (4, b), (2, a), (7, c), (5, b), (0, a)):
+        attach(state, player, sn)
+    orphans = take_offline(state, [b, a])
+    assert orphans == [(b, 4), (b, 5), (a, 0), (a, 2), (a, 9)]
+    assert (a.load, b.load, c.load) == (0, 0, 1)
+
+
+def test_attach_rejects_a_live_player_and_keeps_the_slot_free():
+    state = SimState(cloudfog_basic(**SMALL))
+    a, b = state.live_supernodes[:2]
+    attach(state, 3, a)
+    with pytest.raises(ValueError, match="player 3"):
+        attach(state, 3, b)
+    assert (a.load, b.load) == (1, 0)
+    assert state.sessions.columns.supernode_id[3] == a.supernode_id
 
 
 def test_fail_supernodes_migrates_players():
@@ -60,9 +83,7 @@ def test_fail_supernodes_migrates_players():
     next_player = 0
     for sn in list(system.live_supernodes):
         if sn.has_capacity:
-            while next_player in sn.connected:
-                next_player += 1
-            sn.connect(next_player)
+            attach(state, next_player, sn)
             next_player += 1
     before = len(system.live_supernodes)
     latencies = system.fail_supernodes(before // 2, rng)

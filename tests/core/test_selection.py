@@ -58,7 +58,7 @@ def test_directory_candidates_are_nearest_available(topology):
 
 def test_directory_skips_full_supernodes(topology):
     supernodes = make_supernodes(topology, hosts=[1, 2], capacity=1)
-    supernodes[0].connect(99)
+    supernodes[0].connect()
     directory = SupernodeDirectory(topology, supernodes)
     assert [sn.supernode_id for sn in directory.candidates_for(0, 5)] == [1]
 
@@ -156,7 +156,7 @@ def test_sequential_ask_skips_filled_candidate(topology):
     table = ReputationTable(ledger)
     table.refresh(0, today=0)
     # Fill supernode 0 after the directory snapshot.
-    supernodes[0].connect(42)
+    supernodes[0].connect()
     outcome = select_supernode(0, directory, l_max_ms=500.0,
                                rng=np.random.default_rng(0),
                                reputation=table)
@@ -167,7 +167,7 @@ def test_no_capacity_anywhere_falls_back_to_cloud(topology):
     supernodes = make_supernodes(topology, hosts=[1, 2], capacity=1)
     directory = SupernodeDirectory(topology, supernodes)
     for sn in supernodes:
-        sn.connect(90 + sn.supernode_id)
+        sn.connect()
     outcome = select_supernode(0, directory, l_max_ms=500.0,
                                rng=np.random.default_rng(0))
     assert outcome.used_cloud
@@ -226,7 +226,7 @@ def test_lookup_respects_incremental_capacity(big_topology):
     directory = SupernodeDirectory(big_topology, supernodes)
     first = directory.candidates_for(0, 3)
     for sn in first:
-        sn.connect(900 + sn.supernode_id)  # fill the closest three
+        sn.connect()  # fill the closest three
     second = directory.candidates_for(0, 3)
     assert not set(sn.supernode_id for sn in first) & \
         set(sn.supernode_id for sn in second)

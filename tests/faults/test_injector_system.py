@@ -6,6 +6,7 @@ import pytest
 from repro.core import CloudFogSystem
 from repro.core.config import cloudfog_advanced
 from repro.core.entities import ConnectionKind
+from repro.core.lifecycle import attach
 from repro.experiments.chaos import baseline_chaos_plan, run_chaos
 from repro.faults import FaultInjector, NULL_INJECTOR, build_injector
 from repro.faults.handlers import inject_flaky
@@ -93,7 +94,7 @@ def test_transient_refusals_drive_retries():
     player = 0
     for sn in system.live_supernodes:
         for _ in range(3):
-            sn.connect(player)
+            attach(system.state, player, sn)
             player += 1
     system.candidates.forget_supernodes(
         {sn.supernode_id for sn in system.supernode_pool})

@@ -6,6 +6,7 @@ import pytest
 from repro.core import CloudFogSystem, cloudfog_advanced, cloudfog_basic, sweep
 from repro.core.entities import ConnectionKind
 from repro.core.accounting import RunResult
+from repro.core.lifecycle import attach
 
 
 def _connect_everyone(system, rng):
@@ -16,8 +17,7 @@ def _connect_everyone(system, rng):
     player = 0
     for sn in system.live_supernodes:
         while sn.has_capacity and player < system.topology.num_players:
-            if player not in sn.connected:
-                sn.connect(player)
+            attach(state, player, sn)
             player += 1
 
 
@@ -58,11 +58,7 @@ def test_partial_outage_migrates_and_keeps_serving():
     assert summary.recovered == len(latencies)
     assert sum(sn.load for sn in system.live_supernodes) > 0
 
-    # Release the synthetic connections so the next day's sweep starts
-    # from a clean slate (sessions normally disconnect at day end).
-    for sn in system.live_supernodes:
-        for player in list(sn.connected):
-            sn.disconnect(player)
+    # The next day's sweep releases the re-homed players first.
     result = RunResult()
     system.run_day(1, result, measuring=True)
     kinds = {r.kind for r in result.sessions}
@@ -127,9 +123,12 @@ def test_failures_until_pool_empty_keep_bookkeeping_consistent():
         for player in range(system.topology.num_players):
             for entry in system.candidates.candidates(player):
                 assert entry.supernode_id in live_ids
+        cols = system.state.sessions.columns
         for sn in system.live_supernodes:
             assert sn.online
-            assert sn.load == len(sn.connected) <= sn.effective_capacity
+            held = np.count_nonzero((cols.active == 1)
+                                    & (cols.supernode_id == sn.supernode_id))
+            assert sn.load == held <= sn.effective_capacity
         summary = system.fault_outcomes
         assert summary.conserved()
         assert waves < 100  # termination guard
@@ -156,3 +155,34 @@ def test_advanced_system_survives_outage_with_provisioning():
     system.run_day(8, result, measuring=True)
     # Provisioning redeployed: the live set is non-empty again.
     assert len(system.live_supernodes) > 0
+
+
+def test_next_day_releases_players_rehomed_out_of_band(monkeypatch):
+    """Players that ``fail_supernodes`` re-homes hold their new slots
+    only until the next day's sweep starts, which frees them first."""
+    system = CloudFogSystem(cloudfog_basic(num_players=300,
+                                           num_supernodes=20, seed=5))
+    system.run(days=1)
+    player = 0
+    for sn in system.live_supernodes:
+        while sn.has_capacity:
+            attach(system.state, player, sn)
+            player += 1
+    system.fail_supernodes(10, np.random.default_rng(0))
+    survivors = system.live_supernodes
+    assert sum(sn.load for sn in survivors) == sum(
+        sn.capacity for sn in survivors)  # the re-homed fill every slot
+
+    loads_at_start = []
+
+    def record_loads(state, ctx):
+        if ctx.subcycle == 1:
+            loads_at_start.append([sn.load for sn in state.live_supernodes])
+
+    monkeypatch.setattr(sweep, "SUBCYCLE_STAGES",
+                        (record_loads,) + sweep.SUBCYCLE_STAGES)
+    for day in (1, 2, 3):
+        result = RunResult()
+        system.run_day(day, result, measuring=True)
+        assert result.days[-1].supernode_players > 0
+    assert loads_at_start == [[0] * len(survivors)] * 3

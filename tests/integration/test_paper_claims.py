@@ -84,13 +84,12 @@ def test_fig9_migration_latency_sub_second():
     plans = sweep.sample_plans(state, rng)
     sweep.choose_games(state, plans, rng)
     from repro.core.accounting import RunResult
+    from repro.core.lifecycle import attach
     sweep.sweep_day(state, plans, rng, RunResult(), measuring=False)
     player = 0
     for sn in system.live_supernodes:
         if sn.has_capacity:
-            while player in sn.connected:
-                player += 1
-            sn.connect(player)
+            attach(state, player, sn)
             player += 1
     latencies = system.fail_supernodes(10, rng)
     assert latencies

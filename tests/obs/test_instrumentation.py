@@ -5,6 +5,7 @@ instrumentation changes no simulated result (bit-identical RNG streams).
 import pytest
 
 from repro import obs
+from repro.core.lifecycle import attach
 from repro.experiments.runner import run_config, run_variant
 from repro.experiments.testbeds import Testbed
 from repro.sim.cycles import Clock, CycleScheduler, Schedule
@@ -101,7 +102,7 @@ def test_failures_count_migrations():
     # re-attach one player per supernode so every failure displaces one
     for player, sn in enumerate(system.live_supernodes):
         if sn.has_capacity:
-            sn.connect(player)
+            attach(system.state, player, sn)
     failed = len(system.live_supernodes) // 2
     latencies = system.fail_supernodes(failed, rng)
     assert latencies

@@ -13,9 +13,11 @@ import pytest
 
 from repro.core import CloudFogSystem
 from repro.core.config import cloudfog_advanced
+from repro.core.lifecycle import attach
 from repro.persist import (
     Checkpointer,
     CheckpointError,
+    capture_state,
     checkpoint_path,
     config_from_dict,
     config_to_dict,
@@ -23,6 +25,7 @@ from repro.persist import (
     latest_valid_checkpoint,
     load_checkpoint,
     read_checkpoint,
+    restore_state,
     resume_run,
     save_checkpoint,
     write_checkpoint,
@@ -164,6 +167,28 @@ def test_resume_ignores_a_retired_scoring_mode_flag(tmp_path):
         payload["state"]["use_batch_scoring"] = flag
         path = write_checkpoint(tmp_path / f"{flag}.ckpt.json", payload)
         assert run_digests(resume_run(path)) == run_digests(expected)
+
+
+def test_connected_lists_are_the_live_session_rows():
+    """A snapshot's per-supernode ``connected`` lists are that
+    supernode's live session rows: empty at a day boundary.  Restore
+    refuses a non-empty one, naming the supernode — a snapshot carries
+    no session rows to put those players back into."""
+    system = CloudFogSystem(BASELINE)
+    system.run(days=1)
+    state = system.state
+    payload = capture_state(state)
+    assert all(record["connected"] == [] for record in payload["supernodes"])
+    a, b = [sn for sn in system.live_supernodes if sn.capacity >= 2][:2]
+    for player, sn in ((7, b), (2, a), (5, b)):
+        attach(state, player, sn)
+    payload = capture_state(state)
+    assert {record["id"]: record["connected"]
+            for record in payload["supernodes"] if record["connected"]} \
+        == {a.supernode_id: [2], b.supernode_id: [5, 7]}
+    first = min(a.supernode_id, b.supernode_id)
+    with pytest.raises(ValueError, match=f"supernode {first} has connected"):
+        restore_state(payload)
 
 
 def test_checkpoint_every_cadence(tmp_path):
